@@ -11,19 +11,26 @@
 ///   * floodmax_grid96   — a real algorithm (flood-max leader election) on a
 ///     96x96 grid, mixing computation with delivery;
 ///   * sparse_ring_100k  — the event-driven sweet spot: a 100k-node ring
-///     where only a relay front is ever active, plus timer-wheel wake-ups.
+///     where only a relay front is ever active, plus timer-wheel wake-ups;
+///   * bundle_dense4k_d16 — the Phase-2 shape: every node broadcasts a
+///     ~56-byte bundle (two varints plus eight 6-byte IDs) every round on
+///     a 16-regular circulant, so payloads are well past 24 bytes.
 ///
-/// Writes machine-readable before/after numbers to BENCH_simulator.json
-/// (override with --out=PATH) and asserts that steady-state arena rounds
-/// perform zero heap allocations (the process aborts with exit code 1 if
-/// either the zero-allocation invariant or cross-mode stats equality is
-/// violated). --smoke shrinks every instance for CI.
+/// Writes machine-readable before/after numbers and the host fingerprint
+/// (hardware threads, CPU model, compiler, build type) to
+/// BENCH_simulator.json (override with --out=PATH) and asserts that
+/// steady-state arena rounds perform zero heap allocations for both the
+/// small-message chatter and the broadcast-bundle shape (the process exits
+/// with code 1 if the zero-allocation invariant or cross-mode stats
+/// equality is violated). --smoke shrinks every instance for CI.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "congest/algorithms/flood_max.hpp"
@@ -41,10 +48,12 @@ using congest::Simulator;
 
 /// Every node sends its ID on every port each round for a fixed horizon;
 /// payloads are a couple of varints, i.e. legal O(log n)-bit CONGEST
-/// messages. No per-node state, so the simulator owns every allocation.
+/// messages, plus \p extra 6-byte varints when a bundle shape is wanted.
+/// No per-node state, so the simulator owns every allocation.
 class ChattyAllPorts final : public congest::NodeProgram {
  public:
-  explicit ChattyAllPorts(std::uint64_t horizon) : horizon_(horizon) {}
+  explicit ChattyAllPorts(std::uint64_t horizon, unsigned extra = 0)
+      : horizon_(horizon), extra_(extra) {}
 
   void on_round(congest::Context& ctx, std::span<const congest::Envelope> inbox) override {
     std::uint64_t acc = 0;
@@ -55,12 +64,40 @@ class ChattyAllPorts final : public congest::NodeProgram {
     if (ctx.round() >= horizon_) return;
     congest::MessageWriter w;
     w.put_u64(ctx.my_id()).put_u64(acc & 0xff);
+    for (unsigned i = 0; i < extra_; ++i) w.put_u64((std::uint64_t{1} << 40) + ctx.my_id() + i);
     ctx.send_all(w.finish());
   }
 
  private:
   std::uint64_t horizon_;
+  unsigned extra_;
 };
+
+/// Eight 6-byte varints on top of the two small ones: a ~56-byte bundle.
+constexpr unsigned kBundleWords = 8;
+
+/// "model name" from /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// Compiler name and version, e.g. "GCC 12.2.0" (clang's __VERSION__
+/// already names itself).
+std::string compiler_version() {
+#if defined(__GNUC__) && !defined(__clang__)
+  return std::string("GCC ") + __VERSION__;
+#else
+  return __VERSION__;
+#endif
+}
 
 /// Relay around a huge ring: only the token front is active, and every hop
 /// also schedules a near wake-up, exercising the timer wheel.
@@ -249,25 +286,58 @@ int main(int argc, char** argv) {
     scenarios.push_back(s);
   }
 
-  // --- Zero-allocation assertion: after a warm-up run, a full steady-state
-  // arena run must not allocate at all. ---
-  std::uint64_t steady_allocs = ~std::uint64_t{0};
-  std::uint64_t steady_rounds = 0;
+  // --- Scenario 4: broadcast bundles past 24 bytes (the Phase-2 shape). ---
   {
+    const graph::Vertex n = smoke ? 1000 : 4000;
+    const std::uint64_t horizon = smoke ? 6 : 16;
+    const graph::Graph g = graph::circulant(n, 8);  // 16-regular
+    util::Rng id_rng(4);
+    const graph::IdAssignment ids = graph::IdAssignment::shuffled(n, id_rng);
+    const auto factory = [horizon](graph::Vertex) {
+      return std::make_unique<ChattyAllPorts>(horizon, kBundleWords);
+    };
+    Scenario s;
+    s.name = smoke ? "bundle_dense1k_d16" : "bundle_dense4k_d16";
+    s.n = n;
+    s.edges = g.num_edges();
+    s.legacy = measure(g, ids, factory, DeliveryMode::kLegacy, reps, /*rerunnable=*/true);
+    s.arena = measure(g, ids, factory, DeliveryMode::kArena, reps, /*rerunnable=*/true);
+    ok &= check(s.legacy.messages == s.arena.messages && s.legacy.rounds == s.arena.rounds,
+                "bundle: legacy and arena disagree on totals");
+    scenarios.push_back(s);
+  }
+
+  // --- Zero-allocation assertion: after a warm-up run, a full steady-state
+  // arena run must not allocate at all, for small messages and for
+  // broadcast bundles past 24 bytes alike. ---
+  struct AllocShape {
+    const char* name;
+    unsigned extra;
+    std::uint64_t max_link_bits = 0;
+    std::uint64_t allocations = ~std::uint64_t{0};
+  };
+  AllocShape shapes[] = {{"chatter", 0}, {"broadcast_bundle", kBundleWords}};
+  std::uint64_t steady_allocs = 0;
+  std::uint64_t steady_rounds = 0;
+  for (AllocShape& shape : shapes) {
     const graph::Vertex n = smoke ? 1000 : 4000;
     const graph::Graph g = graph::circulant(n, 8);  // 16-regular
     const graph::IdAssignment ids = graph::IdAssignment::identity(n);
     const std::uint64_t horizon = 12;
-    Simulator sim(g, ids, [horizon](graph::Vertex) {
-      return std::make_unique<ChattyAllPorts>(horizon);
+    const unsigned extra = shape.extra;
+    Simulator sim(g, ids, [horizon, extra](graph::Vertex) {
+      return std::make_unique<ChattyAllPorts>(horizon, extra);
     });
     (void)sim.run();  // warm every reusable buffer
     const std::uint64_t before = decycle::testsupport::allocation_count();
     const congest::RunStats stats = sim.run();
-    steady_allocs = decycle::testsupport::allocation_count() - before;
-    steady_rounds = stats.rounds_executed;
-    ok &= check(steady_allocs == 0, "steady-state arena run performed heap allocations");
+    shape.allocations = decycle::testsupport::allocation_count() - before;
+    shape.max_link_bits = stats.max_link_bits;
+    steady_allocs += shape.allocations;
+    steady_rounds += stats.rounds_executed;
+    ok &= check(shape.allocations == 0, "steady-state arena run performed heap allocations");
   }
+  ok &= check(shapes[1].max_link_bits > 24 * 8, "bundle shape payloads do not exceed 24 bytes");
 
   // --- Report. ---
   std::printf("%-22s %12s %12s %14s %14s %9s\n", "scenario", "legacy s", "arena s",
@@ -281,14 +351,26 @@ int main(int argc, char** argv) {
                   m.msgs_per_sec());
     }
   }
-  std::printf("zero-alloc steady state: %llu allocations over %llu rounds\n",
-              static_cast<unsigned long long>(steady_allocs),
-              static_cast<unsigned long long>(steady_rounds));
+  for (const AllocShape& shape : shapes) {
+    std::printf("zero-alloc steady state (%s, %llu-bit payloads): %llu allocations\n", shape.name,
+                static_cast<unsigned long long>(shape.max_link_bits),
+                static_cast<unsigned long long>(shape.allocations));
+  }
 
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"m2_simulator_micro\",\n  \"smoke\": %s,\n",
                  smoke ? "true" : "false");
     std::fprintf(f, "  \"baseline\": \"legacy delivery (pre-arena loop)\",\n");
+#ifdef NDEBUG
+    const char* build_type = "Release";
+#else
+    const char* build_type = "Debug";
+#endif
+    std::fprintf(f,
+                 "  \"host\": {\"hardware_threads\": %u, \"cpu\": \"%s\", "
+                 "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(), cpu_model().c_str(),
+                 compiler_version().c_str(), build_type);
     std::fprintf(f, "  \"scenarios\": [\n");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
       const Scenario& s = scenarios[i];
@@ -320,10 +402,17 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"zero_alloc\": {\"verified\": %s, \"steady_rounds\": %llu, "
-                 "\"allocations\": %llu}\n}\n",
+                 "\"allocations\": %llu, \"shapes\": [",
                  steady_allocs == 0 ? "true" : "false",
                  static_cast<unsigned long long>(steady_rounds),
                  static_cast<unsigned long long>(steady_allocs));
+    for (std::size_t i = 0; i < std::size(shapes); ++i) {
+      std::fprintf(f, "%s{\"name\": \"%s\", \"max_link_bits\": %llu, \"allocations\": %llu}",
+                   i == 0 ? "" : ", ", shapes[i].name,
+                   static_cast<unsigned long long>(shapes[i].max_link_bits),
+                   static_cast<unsigned long long>(shapes[i].allocations));
+    }
+    std::fprintf(f, "]}\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
   } else {

@@ -54,7 +54,7 @@ bool trace_phase2(const graph::Graph& g, unsigned k, graph::Vertex u, graph::Ver
   // outgoing[x] = bundle node x broadcast in the previous round.
   std::vector<std::vector<IdSeq>> outgoing(g.num_vertices());
   for (graph::Vertex x = 0; x < g.num_vertices(); ++x) {
-    outgoing[x] = states[x].seed();
+    (void)states[x].seed(outgoing[x]);
     if (verbose && !outgoing[x].empty()) {
       std::printf("  round 0: node %llu seeds %s\n",
                   static_cast<unsigned long long>(id_of(x)),
@@ -71,7 +71,8 @@ bool trace_phase2(const graph::Graph& g, unsigned k, graph::Vertex u, graph::Ver
         received.insert(received.end(), outgoing[nb].begin(), outgoing[nb].end());
       }
       if (received.empty()) continue;
-      next[x] = states[x].step(g_round, std::move(received));
+      (void)states[x].step(g_round, received);  // leaves the bundle to forward
+      next[x] = std::move(received);
       if (verbose && !next[x].empty()) {
         std::printf("  round %u: node %llu forwards %s\n", g_round,
                     static_cast<unsigned long long>(id_of(x)),

@@ -84,8 +84,9 @@ void Context::enforce_broadcast(const Message& msg) const {
                                  ", the model's broadcast budget is B=" +
                                  std::to_string(bandwidth_bits_) + " bits");
   }
-  if (out_payload_->size() > step_out_base_) {
-    const auto first = (*out_payload_)[step_out_base_].bytes();
+  if (out_meta_->size() > step_out_base_) {
+    const OutMeta& head = (*out_meta_)[step_out_base_];
+    const Payload first(out_slab_->data() + head.offset, head.bytes);
     const auto cur = msg.bytes();
     const bool identical =
         first.size() == cur.size() && std::equal(first.begin(), first.end(), cur.begin());

@@ -10,12 +10,14 @@
 /// Encoding: LEB128-style varints (7 bits per byte), so an ID costs
 /// ⌈bits(id)/7⌉ bytes — proportional to log n, as the model assumes.
 ///
-/// Storage: messages carry small-buffer inline storage (kInlineCapacity
-/// bytes). A legal CONGEST payload is O(log n) bits — a couple of varints —
-/// so in practice payloads live entirely inline and moving a Message through
-/// the simulator's delivery arena never touches the heap (DESIGN.md §4).
-/// Oversized payloads (the harness sometimes ships diagnostic bundles) spill
-/// to a heap buffer transparently.
+/// Storage: a Message is what a MessageWriter builds and what a program
+/// hands to Context::send / send_all; nothing keeps it past that call. The
+/// simulator copies the bytes into the sending step chunk's payload slab
+/// (once per send_all, whatever the degree), and the receiver sees them as
+/// a Payload — a 16-byte view into that slab (DESIGN.md §4.2). A Payload is
+/// valid only during the receiving on_round(); a program that wants the
+/// bytes later must copy them. Message keeps kInlineCapacity bytes inline
+/// and spills larger payloads to the heap while it is being built.
 #pragma once
 
 #include <cstddef>
@@ -28,12 +30,19 @@
 
 namespace decycle::congest {
 
-/// An opaque payload travelling over one link in one round.
+/// A received payload: a view into the sender's step slab, valid during
+/// the receiving on_round() only (see the file comment).
+using Payload = std::span<const std::uint8_t>;
+
+/// An opaque payload under construction: built by MessageWriter, consumed
+/// by Context::send / send_all.
 class Message {
  public:
-  /// Bytes held inline before spilling to the heap. Sized so a handful of
-  /// worst-case 10-byte varints (one u64 each) still fit without allocating.
-  static constexpr std::size_t kInlineCapacity = 24;
+  /// Bytes held inline before spilling to the heap. A Message only lives
+  /// on the writer's stack, so this is sized for the bundles the Phase-2
+  /// detectors actually broadcast (a default-budget threshold bundle is
+  /// ~200 bytes), not for compact storage.
+  static constexpr std::size_t kInlineCapacity = 256;
 
   // User-provided (not defaulted) so `const Message m;` is legal without
   // zero-filling the inline buffer.
@@ -44,11 +53,10 @@ class Message {
   explicit Message(const std::vector<std::uint8_t>& bytes) { assign(bytes.data(), bytes.size()); }
   explicit Message(std::span<const std::uint8_t> bytes) { assign(bytes.data(), bytes.size()); }
 
-  Message(const Message& other) { assign(other.data(), other.size_); }
-  Message& operator=(const Message& other) {
-    if (this != &other) assign(other.data(), other.size_);
-    return *this;
-  }
+  // Write-once: a Message is moved out of its writer into send(), never
+  // copied (the simulator copies the bytes into its slab instead).
+  Message(const Message&) = delete;
+  Message& operator=(const Message&) = delete;
 
   Message(Message&& other) noexcept { steal(other); }
   Message& operator=(Message&& other) noexcept {
@@ -156,19 +164,42 @@ class MessageWriter {
 };
 
 /// Deserializes in the same order the writer produced. Holds a view into
-/// the message, so the Message must outlive the reader (binding a temporary
+/// the bytes, so they must outlive the reader (binding a temporary Message
 /// is rejected at compile time).
 class MessageReader {
  public:
-  explicit MessageReader(const Message& msg) : bytes_(msg.bytes()) {}
+  explicit MessageReader(Payload bytes) noexcept : bytes_(bytes) {}
+  explicit MessageReader(const Message& msg) noexcept : bytes_(msg.bytes()) {}
   explicit MessageReader(Message&&) = delete;
 
-  [[nodiscard]] std::uint64_t get_u64();
-  [[nodiscard]] std::uint32_t get_u32();
+  /// Decodes one varint. Throws CheckError on underflow and on encodings
+  /// that do not fit 64 bits: more than 10 bytes, or a 10th byte above 1.
+  /// Inline: this is the innermost loop of every Phase-2 intake.
+  [[nodiscard]] std::uint64_t get_u64() {
+    std::uint64_t value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      DECYCLE_CHECK_MSG(pos_ < bytes_.size(), "message underflow");
+      const std::uint8_t byte = bytes_[pos_++];
+      if (shift == 63) {
+        // The 10th byte carries bit 63 only; anything else would wrap.
+        DECYCLE_CHECK_MSG(byte <= 1, "varint too long");
+        return value | (std::uint64_t{byte} << 63);
+      }
+      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return value;
+    }
+  }
+
+  [[nodiscard]] std::uint32_t get_u32() {
+    const std::uint64_t v = get_u64();
+    DECYCLE_CHECK_MSG(v <= 0xffffffffULL, "u32 overflow in message");
+    return static_cast<std::uint32_t>(v);
+  }
+
   [[nodiscard]] bool at_end() const noexcept { return pos_ == bytes_.size(); }
 
  private:
-  std::span<const std::uint8_t> bytes_;
+  Payload bytes_;
   std::size_t pos_ = 0;
 };
 

@@ -7,6 +7,10 @@
 /// program reacts by sending at most one message per incident link (the
 /// CONGEST slot discipline, enforced) and/or scheduling a wake-up.
 ///
+/// Payload lifetime: an Envelope's payload views the sender's step slab and
+/// is valid only during the receiving on_round(). Copy the bytes to keep
+/// them (DESIGN.md §4.2).
+///
 /// Knowledge model: a node knows its own ID, its degree, and the IDs of its
 /// neighbors (port -> ID). This is the standard KT1 assumption; with KT0 the
 /// neighbor IDs cost one extra round of exchange, which shifts every round
@@ -31,10 +35,13 @@ using graph::Vertex;
 
 /// A message as seen by the receiver. \p port is the receiver's port number
 /// for the sending neighbor (dense 0..deg-1, sorted by neighbor vertex).
+/// \p payload views the sender's step slab and is valid only during the
+/// receiving on_round(): copy the bytes to keep them (DESIGN.md §4.2).
 struct Envelope {
   std::uint32_t port = 0;
-  Message payload;
+  Payload payload;
 };
+static_assert(sizeof(Envelope) <= 24, "an envelope is a port and a payload view");
 
 /// The simulator's per-run machinery (delivery arenas, timer wheel, step
 /// contexts); defined in simulator.cpp. Declared here so it can drive the
@@ -53,10 +60,12 @@ class Context {
   [[nodiscard]] NodeId neighbor_id(std::uint32_t port) const { return ids_->id_of(nbrs_[port]); }
 
   /// Queues \p msg on \p port. At most one send per port per round
-  /// (CONGEST); violations throw.
-  void send(std::uint32_t port, Message msg);
+  /// (CONGEST); violations throw. The bytes are copied; \p msg may be
+  /// reused or dropped as soon as this returns.
+  void send(std::uint32_t port, const Message& msg);
 
-  /// Broadcasts a copy of \p msg on every port.
+  /// Broadcasts \p msg on every port. The bytes are written once and every
+  /// port's queued send refers to that one copy.
   void send_all(const Message& msg);
 
   /// Ensures this node is stepped at \p round even without incoming mail
@@ -64,20 +73,26 @@ class Context {
   void request_wakeup_at(std::uint64_t round);
 
   /// A queued send as the simulator's delivery merge sees it, minus its
-  /// payload: metadata and message bytes live in parallel arrays so the
-  /// counting pass streams over lean fixed-size records without pulling
-  /// payload cache lines. The receiver vertex and its port for the sender
-  /// are resolved at enqueue time from the simulator's precomputed
-  /// reverse-port table (O(1)), so the merge never searches adjacency
-  /// lists. \p dropped is set by the delivery pass when the fault adversary
-  /// removes the message.
+  /// payload: the bytes sit in the step chunk's payload slab at
+  /// [offset, offset + bytes), so the counting pass streams over lean
+  /// 24-byte records without pulling payload cache lines, and every port
+  /// of a send_all shares one slab range. The receiver vertex and its port
+  /// for the sender are resolved at enqueue time from the simulator's
+  /// precomputed reverse-port table (O(1)), so the merge never searches
+  /// adjacency lists. \p dropped is set by the delivery pass when the fault
+  /// adversary removes the message.
   struct OutMeta {
-    std::uint64_t bits = 0;  ///< payload bit size (stats without payload access)
+    std::uint32_t offset = 0;  ///< payload start in the chunk's slab
+    std::uint32_t bytes = 0;   ///< payload byte length
     Vertex from = 0;
     Vertex dest = 0;
     std::uint32_t rport = 0;  ///< receiver's port for \p from
     std::uint8_t dropped = 0;
+
+    /// Payload bit size (stats without payload access).
+    [[nodiscard]] std::uint64_t bits() const noexcept { return std::uint64_t{bytes} * 8; }
   };
+  static_assert(sizeof(OutMeta) <= 24, "send records stay dense for the counting pass");
 
   /// Sentinel for "no wake-up scheduled"; shared with the simulator so the
   /// two sides can never drift apart.
@@ -106,17 +121,24 @@ class Context {
   /// congest hot path only pays the kind branch in send().
   void enforce_broadcast(const Message& msg) const;
 
+  /// Marks \p port used this step; throws on a second send (CONGEST).
+  void claim_slot(std::uint32_t port);
+  /// Appends \p msg's bytes to the slab; returns their offset.
+  std::uint32_t write_payload(const Message& msg);
+  /// Queues one send of the slab range [offset, offset + bytes) on \p port.
+  void queue(std::uint32_t port, std::uint32_t offset, std::uint32_t bytes);
+
   const graph::Graph* graph_;
   const graph::IdAssignment* ids_;
   const std::uint32_t* rev_ports_;  ///< CSR-aligned reverse ports, or null
   CommModelKind model_kind_ = CommModelKind::kCongest;
   std::uint64_t bandwidth_bits_ = 0;  ///< 0 = accounted, not enforced
-  /// out_payload_ size at reset(): this node's sends for the current step
+  /// out_meta_ size at reset(): this node's sends for the current step
   /// start here (the chunk outbox is shared by every node the chunk steps),
   /// so the broadcast check can compare against the node's first message.
   std::size_t step_out_base_ = 0;
   std::vector<OutMeta>* out_meta_ = nullptr;     ///< chunk outbox (owned by the simulator)
-  std::vector<Message>* out_payload_ = nullptr;  ///< payloads, in lockstep with out_meta_
+  std::vector<std::uint8_t>* out_slab_ = nullptr;  ///< chunk payload slab (owned likewise)
   std::span<const Vertex> nbrs_;
   std::size_t adj_base_ = 0;  ///< offset of vertex_'s adjacency in the CSR
   Vertex vertex_ = 0;
@@ -129,15 +151,15 @@ class Context {
   std::uint64_t step_serial_ = 0;
 
   void reset(Vertex v, std::uint64_t round, std::size_t adj_base, std::vector<OutMeta>* meta,
-             std::vector<Message>* payload) {
+             std::vector<std::uint8_t>* slab) {
     vertex_ = v;
     round_ = round;
     adj_base_ = adj_base;
     out_meta_ = meta;
-    out_payload_ = payload;
+    out_slab_ = slab;
     nbrs_ = graph_->neighbors(v);
     wakeup_ = kNoWakeup;
-    step_out_base_ = payload->size();
+    step_out_base_ = meta->size();
     ++step_serial_;
   }
 };
@@ -170,20 +192,45 @@ class NodeProgram {
   static void operator delete(void* p, std::align_val_t al) noexcept { ::operator delete(p, al); }
 };
 
-inline void Context::send(std::uint32_t port, Message msg) {
-  DECYCLE_CHECK_MSG(port < degree(), "send: port out of range");
+inline void Context::claim_slot(std::uint32_t port) {
   DECYCLE_CHECK_MSG(port_stamp_[port] != step_serial_,
                     "CONGEST violation: two messages on one link in a round");
-  if (model_kind_ == CommModelKind::kBroadcastCongest) enforce_broadcast(msg);
   port_stamp_[port] = step_serial_;
+}
+
+inline std::uint32_t Context::write_payload(const Message& msg) {
+  const std::size_t offset = out_slab_->size();
+  DECYCLE_CHECK_MSG(offset + msg.byte_size() <= ~std::uint32_t{0},
+                    "payload slab exceeds 4 GiB in one step");
+  const auto bytes = msg.bytes();
+  out_slab_->insert(out_slab_->end(), bytes.begin(), bytes.end());
+  return static_cast<std::uint32_t>(offset);
+}
+
+inline void Context::queue(std::uint32_t port, std::uint32_t offset, std::uint32_t bytes) {
   const std::uint32_t rport =
       rev_ports_ != nullptr ? rev_ports_[adj_base_ + port] : ~std::uint32_t{0};
-  out_meta_->push_back(OutMeta{msg.bit_size(), vertex_, nbrs_[port], rport, 0});
-  out_payload_->push_back(std::move(msg));
+  out_meta_->push_back(OutMeta{offset, bytes, vertex_, nbrs_[port], rport, 0});
+}
+
+inline void Context::send(std::uint32_t port, const Message& msg) {
+  DECYCLE_CHECK_MSG(port < degree(), "send: port out of range");
+  claim_slot(port);
+  if (model_kind_ == CommModelKind::kBroadcastCongest) enforce_broadcast(msg);
+  queue(port, write_payload(msg), static_cast<std::uint32_t>(msg.byte_size()));
 }
 
 inline void Context::send_all(const Message& msg) {
-  for (std::uint32_t p = 0; p < degree(); ++p) send(p, msg);
+  const auto bytes = static_cast<std::uint32_t>(msg.byte_size());
+  std::uint32_t offset = 0;
+  for (std::uint32_t p = 0; p < degree(); ++p) {
+    claim_slot(p);
+    if (p == 0) {
+      if (model_kind_ == CommModelKind::kBroadcastCongest) enforce_broadcast(msg);
+      offset = write_payload(msg);
+    }
+    queue(p, offset, bytes);
+  }
 }
 
 inline void Context::request_wakeup_at(std::uint64_t round) {

@@ -42,15 +42,18 @@ struct SimRuntime {
   static constexpr std::size_t kMaxGroups = 1024;
 
   /// One persistent step-execution lane: a reusable Context plus the outbox
-  /// all nodes stepped by this lane append to (metadata and payloads in
-  /// lockstep parallel arrays), and the chunk's slice of the parallel
+  /// all nodes stepped by this lane append to (24-byte send records and the
+  /// payload slab they point into), and the chunk's slice of the parallel
   /// delivery state — per-receiver-group counters and the counting-sort
   /// scatter of its own outbox (bucket holds meta indices ordered by
   /// receiver group, preserving outbox order within a group).
   struct ChunkState {
     Context ctx;
     std::vector<Context::OutMeta> meta;
-    std::vector<Message> payload;
+    /// Payload bytes of the step, double-buffered by round parity like the
+    /// envelope arena: round r writes slab[r & 1], and the envelopes
+    /// delivered for round r+1 view it while round r+1 writes the other one.
+    std::array<std::vector<std::uint8_t>, 2> slab;
 
     std::vector<std::uint32_t> group_env;     ///< non-dropped envelopes per group
     std::vector<std::uint32_t> group_recv;    ///< first-touched receivers per group
@@ -331,8 +334,9 @@ RunStats Simulator::run_arena(const Options& options) {
     const std::vector<Envelope>& in_arena = rt.arena[round & 1];
     const auto step_chunk = [&](std::size_t c) {
       SimRuntime::ChunkState& cs = *rt.chunks[c];
+      std::vector<std::uint8_t>& slab = cs.slab[round & 1];
       cs.meta.clear();
-      cs.payload.clear();
+      slab.clear();
       const std::size_t begin = c * chunk_len;
       const std::size_t end = std::min(num_active, begin + chunk_len);
       for (std::size_t i = begin; i < end; ++i) {
@@ -341,7 +345,7 @@ RunStats Simulator::run_arena(const Options& options) {
         if (rt.inbox_stamp[v] == round) {
           inbox = {in_arena.data() + rt.offset[v], rt.count[v]};
         }
-        cs.ctx.reset(v, round, adj_offsets_[v], &cs.meta, &cs.payload);
+        cs.ctx.reset(v, round, adj_offsets_[v], &cs.meta, &slab);
         programs_[v]->on_round(cs.ctx, inbox);
         rt.wakeup_rounds[i] = cs.ctx.wakeup_;
       }
@@ -412,8 +416,8 @@ RunStats Simulator::run_arena(const Options& options) {
       for (std::size_t c = 0; c < num_chunks; ++c) {
         for (Context::OutMeta& e : rt.chunks[c]->meta) {
           acc.messages += 1;
-          acc.bits += e.bits;
-          acc.max_link_bits = std::max(acc.max_link_bits, e.bits);
+          acc.bits += e.bits();
+          acc.max_link_bits = std::max(acc.max_link_bits, e.bits());
           // The message was *sent* either way (it occupies the link and
           // counts towards the stats); the adversary removes it before
           // delivery.
@@ -446,13 +450,13 @@ RunStats Simulator::run_arena(const Options& options) {
 
       if (out_arena.size() < cum) out_arena.resize(std::max(cum, 2 * out_arena.size()));
       for (std::size_t c = 0; c < num_chunks; ++c) {
-        SimRuntime::ChunkState& cs = *rt.chunks[c];
-        for (std::size_t j = 0; j < cs.meta.size(); ++j) {
-          const Context::OutMeta& e = cs.meta[j];
+        const SimRuntime::ChunkState& cs = *rt.chunks[c];
+        const std::uint8_t* slab = cs.slab[round & 1].data();
+        for (const Context::OutMeta& e : cs.meta) {
           if (e.dropped != 0) continue;
           Envelope& slot = out_arena[rt.offset[e.dest] + rt.fill[e.dest]++];
           slot.port = e.rport;
-          slot.payload = std::move(cs.payload[j]);
+          slot.payload = Payload(slab + e.offset, e.bytes);
         }
       }
     } else {
@@ -474,8 +478,8 @@ RunStats Simulator::run_arena(const Options& options) {
         cs.group_recv.assign(groups, 0);
         for (Context::OutMeta& e : cs.meta) {
           cs.messages += 1;
-          cs.bits += e.bits;
-          cs.max_link_bits = std::max(cs.max_link_bits, e.bits);
+          cs.bits += e.bits();
+          cs.max_link_bits = std::max(cs.max_link_bits, e.bits());
           if (options.drop && options.drop(round, e.from, e.dest)) {
             e.dropped = 1;
             cs.dropped += 1;
@@ -560,14 +564,14 @@ RunStats Simulator::run_arena(const Options& options) {
           rt.next_active[recv_cursor++] = v;
         }
         for (std::size_t c = 0; c < num_chunks; ++c) {
-          SimRuntime::ChunkState& cs = *rt.chunks[c];
+          const SimRuntime::ChunkState& cs = *rt.chunks[c];
+          const std::uint8_t* slab = cs.slab[round & 1].data();
           const std::uint32_t bucket_end = cs.group_start[g + 1];
           for (std::uint32_t k = cs.group_start[g]; k < bucket_end; ++k) {
-            const std::uint32_t j = cs.bucket[k];
-            const Context::OutMeta& e = cs.meta[j];
+            const Context::OutMeta& e = cs.meta[cs.bucket[k]];
             Envelope& slot = out_arena[rt.offset[e.dest] + rt.fill[e.dest]++];
             slot.port = e.rport;
-            slot.payload = std::move(cs.payload[j]);
+            slot.payload = Payload(slab + e.offset, e.bytes);
           }
         }
       };
@@ -600,7 +604,7 @@ namespace {
 
 struct LegacyStepResult {
   std::vector<Context::OutMeta> meta;
-  std::vector<Message> payload;
+  std::vector<std::uint8_t> slab;
   std::uint64_t wakeup = kNoWakeup;
 };
 
@@ -616,6 +620,8 @@ RunStats Simulator::run_legacy(const Options& options) {
 
   RunStats stats;
   std::uint64_t round = 0;
+  // The inboxes delivered last round view these step results' slabs.
+  std::vector<LegacyStepResult> prev_results;
 
   while (round <= options.max_rounds) {
     if (const auto it = wakeups.find(round); it != wakeups.end()) {
@@ -639,7 +645,7 @@ RunStats Simulator::run_legacy(const Options& options) {
       Context ctx(*comm_graph_, *ids_, nullptr, *model_);
       for (std::size_t i = begin; i < end; ++i) {
         const Vertex v = active[i];
-        ctx.reset(v, round, adj_offsets_[v], &results[i].meta, &results[i].payload);
+        ctx.reset(v, round, adj_offsets_[v], &results[i].meta, &results[i].slab);
         programs_[v]->on_round(ctx, inbox[v]);
         results[i].wakeup = ctx.wakeup_;
       }
@@ -660,19 +666,19 @@ RunStats Simulator::run_legacy(const Options& options) {
     std::vector<Vertex> next_active;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const Vertex from = active[i];
-      for (std::size_t j = 0; j < results[i].meta.size(); ++j) {
-        const Context::OutMeta& out = results[i].meta[j];
+      for (const Context::OutMeta& out : results[i].meta) {
         const Vertex dest = out.dest;
         rs.messages += 1;
-        rs.bits += out.bits;
-        rs.max_link_bits = std::max(rs.max_link_bits, out.bits);
+        rs.bits += out.bits();
+        rs.max_link_bits = std::max(rs.max_link_bits, out.bits());
         if (options.drop && options.drop(round, from, dest)) {
           stats.dropped_messages += 1;
           continue;
         }
         const std::uint32_t rport = port_of(*comm_graph_, dest, from);
         if (inbox[dest].empty()) next_active.push_back(dest);
-        inbox[dest].push_back(Envelope{rport, std::move(results[i].payload[j])});
+        inbox[dest].push_back(
+            Envelope{rport, Payload(results[i].slab.data() + out.offset, out.bytes)});
       }
       if (results[i].wakeup != kNoWakeup) {
         wakeups[results[i].wakeup].push_back(from);
@@ -692,6 +698,7 @@ RunStats Simulator::run_legacy(const Options& options) {
     if (options.record_rounds) stats.per_round.push_back(rs);
 
     active = std::move(next_active);
+    prev_results = std::move(results);
     ++round;
   }
 

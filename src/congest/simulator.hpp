@@ -10,9 +10,12 @@
 /// nothing.
 ///
 /// Message path (DESIGN.md §4): receiver ports come from a CSR reverse-port
-/// table precomputed at construction (O(1) per message); inboxes live in a
-/// double-buffered flat envelope arena filled by counting placement (never
-/// sorted — ascending sender order already yields ascending receiver ports);
+/// table precomputed at construction (O(1) per message); payload bytes are
+/// written once per send (once per send_all) into a per-chunk slab,
+/// double-buffered by round parity, and envelopes carry 16-byte views into
+/// it; inboxes live in a double-buffered flat envelope arena filled by
+/// counting placement (never sorted — ascending sender order already yields
+/// ascending receiver ports);
 /// the delivery merge is sharded by receiver range across the thread pool
 /// with per-shard statistics reduced in fixed order; wake-ups sit in a
 /// bucketed timer wheel with a min-heap overflow for far targets. A

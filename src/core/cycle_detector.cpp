@@ -8,18 +8,17 @@ namespace decycle::core {
 
 void EdgeCheckProgram::on_round(congest::Context& ctx, std::span<const congest::Envelope> inbox) {
   const std::uint64_t g = ctx.round();
-  std::vector<IdSeq> to_send;
+  std::vector<IdSeq>& seqs = thread_bundle_buffer();
+  std::span<const IdSeq> to_send;
   if (g == 0) {
-    to_send = state_.seed();
+    to_send = state_.seed(seqs);
   } else if (g <= state_.half()) {
-    std::vector<IdSeq> received;
+    seqs.clear();
     for (const congest::Envelope& env : inbox) {
       congest::MessageReader r(env.payload);
-      auto seqs = read_sequences(r);
-      received.insert(received.end(), std::make_move_iterator(seqs.begin()),
-                      std::make_move_iterator(seqs.end()));
+      read_sequences(r, seqs);
     }
-    to_send = state_.step(g, std::move(received));
+    to_send = state_.step(g, seqs);
   }
   if (!to_send.empty()) {
     congest::MessageWriter w;

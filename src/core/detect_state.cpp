@@ -10,12 +10,7 @@ EdgeDetectState::EdgeDetectState(const DetectParams& params, NodeId my_id, NodeI
     : params_(params), my_id_(my_id), u_(u), v_(v) {
   DECYCLE_CHECK_MSG(params.k >= 3, "k must be at least 3");
   DECYCLE_CHECK_MSG(u != v, "edge endpoints must differ");
-  PrunerConfig cfg;
-  cfg.k = params.k;
-  cfg.fake_ids = params.fake_ids;
-  cfg.naive_cap = params.naive_cap;
-  pruner_ = make_pruner(params.pruning, cfg);
-  sent_counts_.assign(half() + 1, 0);
+  sent_counts_.resize(half() + 1, 0);
 }
 
 void EdgeDetectState::trace(TraceEvent::Kind kind, std::uint64_t round,
@@ -25,61 +20,76 @@ void EdgeDetectState::trace(TraceEvent::Kind kind, std::uint64_t round,
   }
 }
 
-std::vector<IdSeq> EdgeDetectState::seed() {
-  std::vector<IdSeq> out;
+std::span<const IdSeq> EdgeDetectState::seed(std::vector<IdSeq>& out) {
+  out.clear();
   if (my_id_ == u_ || my_id_ == v_) {
-    IdSeq self;
-    self.push_back(my_id_);
-    trace(TraceEvent::Kind::kSeed, 0, self);
-    out.push_back(std::move(self));
+    out.emplace_back().push_back(my_id_);
+    trace(TraceEvent::Kind::kSeed, 0, out.back());
     sent_counts_[0] = 1;
   }
   return out;
 }
 
-std::vector<IdSeq> EdgeDetectState::step(std::uint64_t g, std::vector<IdSeq> received) {
+void EdgeDetectState::prune(std::vector<IdSeq>& seqs, unsigned t) {
+  if (params_.pruning == PruningMode::kRepresentative) {
+    prune_representative(seqs, params_.k, t, params_.fake_ids);
+    return;
+  }
+  // The reference and naive selectors are specification and baseline
+  // code, off the production path; they keep the Pruner interface.
+  PrunerConfig cfg;
+  cfg.k = params_.k;
+  cfg.fake_ids = params_.fake_ids;
+  cfg.naive_cap = params_.naive_cap;
+  Pruner::Result selected = make_pruner(params_.pruning, cfg)->select(seqs, t);
+  overflow_ = overflow_ || selected.overflow;
+  seqs = std::move(selected.accepted);
+}
+
+std::span<const IdSeq> EdgeDetectState::step(std::uint64_t g, std::vector<IdSeq>& seqs) {
   DECYCLE_CHECK_MSG(g >= 1 && g <= half(), "phase round out of range");
 
   // Instruction 11-12: R is a *set* of sequences of length g, with every
   // sequence containing this node's own ID removed.
-  std::erase_if(received, [&](const IdSeq& s) { return seq_contains(s, my_id_); });
-  for (const IdSeq& s : received) {
+  std::erase_if(seqs, [&](const IdSeq& s) { return seq_contains(s, my_id_); });
+  for (const IdSeq& s : seqs) {
     DECYCLE_CHECK_MSG(s.size() == g, "received sequence length does not match round");
   }
-  canonicalize(received);
-  for (const IdSeq& s : received) trace(TraceEvent::Kind::kReceive, g, s);
+  canonicalize(seqs);
+  for (const IdSeq& s : seqs) trace(TraceEvent::Kind::kReceive, g, s);
 
   if (g == half()) {
-    final_check(received);
+    final_check(seqs);
     if (pair_) {
       const auto cycle = witness_cycle_ids();
       trace(TraceEvent::Kind::kReject, g, IdSeq(std::span<const NodeId>(cycle)));
     }
-    return {};
+    seqs.clear();
+    return seqs;
   }
-  if (received.empty()) return {};
+  if (seqs.empty()) return seqs;
 
   const auto t = static_cast<unsigned>(g + 1);  // paper round index
-  Pruner::Result selected = pruner_->select(received, t);
-  overflow_ = overflow_ || selected.overflow;
   if (params_.trace != nullptr) {
-    for (const IdSeq& s : received) {
-      const bool kept = std::find(selected.accepted.begin(), selected.accepted.end(), s) !=
-                        selected.accepted.end();
+    const std::vector<IdSeq> candidates = seqs;  // tracing only
+    prune(seqs, t);
+    for (const IdSeq& s : candidates) {
+      const bool kept = std::find(seqs.begin(), seqs.end(), s) != seqs.end();
       trace(kept ? TraceEvent::Kind::kKeep : TraceEvent::Kind::kDrop, g, s);
     }
+  } else {
+    prune(seqs, t);
   }
 
   // Instruction 24: append own ID to every kept sequence.
-  std::vector<IdSeq> out = std::move(selected.accepted);
-  for (IdSeq& s : out) s.push_back(my_id_);
-  for (const IdSeq& s : out) trace(TraceEvent::Kind::kSend, g, s);
+  for (IdSeq& s : seqs) s.push_back(my_id_);
+  for (const IdSeq& s : seqs) trace(TraceEvent::Kind::kSend, g, s);
 
   if (params_.k % 2 == 0 && g == half() - 1) {
-    last_sent_ = out;  // S feeds the even-k final check (erratum E-A)
+    last_sent_.assign(seqs.begin(), seqs.end());  // S feeds the even-k final check (erratum E-A)
   }
-  sent_counts_[g] = std::max(sent_counts_[g], out.size());
-  return out;
+  sent_counts_[g] = std::max(sent_counts_[g], seqs.size());
+  return seqs;
 }
 
 void EdgeDetectState::final_check(std::span<const IdSeq> received) {
@@ -93,7 +103,7 @@ void EdgeDetectState::final_check(std::span<const IdSeq> received) {
       for (std::size_t j = i + 1; j < received.size() && !pair_; ++j) {
         if (!seqs_disjoint(received[i], received[j])) continue;
         DECYCLE_CHECK(union_size(received[i], received[j], my_id_) == k);
-        pair_ = FinalPair{received[i], received[j]};
+        pair_ = std::make_unique<FinalPair>(FinalPair{received[i], received[j]});
       }
     }
     return;
@@ -102,7 +112,7 @@ void EdgeDetectState::final_check(std::span<const IdSeq> received) {
     for (const IdSeq& recv : received) {
       if (!seqs_disjoint(own, recv)) continue;
       DECYCLE_CHECK(union_size(own, recv, my_id_) == k);
-      pair_ = FinalPair{own, recv};
+      pair_ = std::make_unique<FinalPair>(FinalPair{own, recv});
       return;
     }
   }

@@ -2,27 +2,30 @@
 /// \brief Per-node state machine for Phase 2 of Algorithm 1 (one edge).
 ///
 /// This class is the algorithm with the network abstracted away: the caller
-/// feeds it the sequences received each round and broadcasts whatever it
-/// returns. Both the single-edge checker (cycle_detector.hpp) and the full
-/// tester (tester.hpp) drive instances of it; unit tests drive it directly
-/// with hand-crafted traces (including the erratum counterexamples).
+/// fills a buffer it owns with the sequences received each round, and the
+/// state machine turns that buffer, in place, into the bundle to broadcast.
+/// The caller keeps the buffer across rounds (per thread or per execution),
+/// so a steady-state step allocates nothing. The single-edge checker
+/// (cycle_detector.hpp), the full tester (tester.hpp) and the threshold
+/// family drive instances of it; unit tests drive it directly with
+/// hand-crafted traces (including the erratum counterexamples).
 ///
 /// Round alignment (DESIGN.md §3.2): simulator round g carries sequences of
 /// length g. seed() produces the round-0 broadcast ({(myid)} at the edge's
-/// endpoints); step(g, received) handles 1 <= g <= half(): it prunes with
+/// endpoints); step(g, seqs) handles 1 <= g <= half(): it prunes with
 /// paper-round t = g+1 and returns the bundle to broadcast while g < half(),
 /// and runs the final check (with the E-A/E-B corrections) at g == half().
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/pruning.hpp"
 #include "core/sequence.hpp"
 #include "core/trace.hpp"
+#include "util/small_vector.hpp"
 
 namespace decycle::core {
 
@@ -53,18 +56,19 @@ class EdgeDetectState {
   [[nodiscard]] NodeId edge_u() const noexcept { return u_; }
   [[nodiscard]] NodeId edge_v() const noexcept { return v_; }
 
-  /// Round-0 broadcast: {(my_id)} iff this node is an endpoint of the edge.
-  [[nodiscard]] std::vector<IdSeq> seed();
+  /// Round-0 broadcast: replaces \p out with {(my_id)} iff this node is an
+  /// endpoint of the edge (empty otherwise) and returns a view of it.
+  std::span<const IdSeq> seed(std::vector<IdSeq>& out);
 
-  /// Processes the sequences received at simulator round \p g (all of length
-  /// g) and returns the bundle to broadcast (empty at g == half(), where the
-  /// final check runs instead). Feeding rounds out of order is allowed —
-  /// a node that switches edges mid-phase starts at whatever round the new
-  /// edge's traffic reaches it.
-  [[nodiscard]] std::vector<IdSeq> step(std::uint64_t g, std::vector<IdSeq> received);
+  /// Consumes the sequences received at simulator round \p g (all of length
+  /// g) from \p seqs and leaves the bundle to broadcast in their place
+  /// (empty at g == half(), where the final check runs instead); returns a
+  /// view of \p seqs. Feeding rounds out of order is allowed — a node that
+  /// switches edges mid-phase starts at whatever round the new edge's
+  /// traffic reaches it.
+  std::span<const IdSeq> step(std::uint64_t g, std::vector<IdSeq>& seqs);
 
-  [[nodiscard]] bool rejected() const noexcept { return pair_.has_value(); }
-  [[nodiscard]] const std::optional<FinalPair>& witness_pair() const noexcept { return pair_; }
+  [[nodiscard]] bool rejected() const noexcept { return pair_ != nullptr; }
 
   /// The k IDs of the detected cycle, in cyclic order (empty if accepted).
   [[nodiscard]] std::vector<NodeId> witness_cycle_ids() const;
@@ -78,6 +82,9 @@ class EdgeDetectState {
   }
 
  private:
+  /// Instruction 16-24 on \p seqs in place: keeps the forwarded
+  /// sub-family, in candidate order.
+  void prune(std::vector<IdSeq>& seqs, unsigned t);
   void final_check(std::span<const IdSeq> received);
   void trace(TraceEvent::Kind kind, std::uint64_t round, const IdSeq& sequence) const;
 
@@ -85,11 +92,17 @@ class EdgeDetectState {
   NodeId my_id_;
   NodeId u_;
   NodeId v_;
-  std::unique_ptr<Pruner> pruner_;
   std::vector<IdSeq> last_sent_;  ///< S of the last pruning round (even-k check)
-  std::optional<FinalPair> pair_;
+  /// Allocated only on rejection: most states never reject, and cached
+  /// sessions keep every program's state alive after the run.
+  std::unique_ptr<FinalPair> pair_;
   bool overflow_ = false;
-  std::vector<std::size_t> sent_counts_;
+  /// Inline up to k = 7 (half() + 1 <= 4 rounds).
+  util::SmallVector<std::size_t, 4> sent_counts_;
 };
+
+// Cached sessions keep one state per program (per tracked execution in the
+// threshold family) alive after a run.
+static_assert(sizeof(EdgeDetectState) <= 160, "EdgeDetectState grew");
 
 }  // namespace decycle::core

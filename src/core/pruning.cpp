@@ -45,42 +45,14 @@ class RepresentativePruner final : public Pruner {
   explicit RepresentativePruner(const PrunerConfig& cfg) : cfg_(cfg) {}
 
   Result select(std::span<const IdSeq> candidates, unsigned t) override {
-    validate_candidates(candidates, t, cfg_.k);
-    const unsigned q = cfg_.k - t;  // |X| — the completion-set size
-
-    std::size_t universe = 0;
-    if (!cfg_.fake_ids) {
-      // Without Instruction 14 the completion set must consist of real IDs
-      // from I; |I \ L| = |I| - (t-1) must reach q at all. Counting the
-      // distinct IDs via a reused flat scratch (sort + unique) beats the
-      // per-element hash inserts this loop used to do every call.
-      scratch_ids_.clear();
-      scratch_ids_.reserve(candidates.size() * (t - 1));
-      for (const IdSeq& c : candidates) {
-        scratch_ids_.insert(scratch_ids_.end(), c.begin(), c.end());
-      }
-      std::sort(scratch_ids_.begin(), scratch_ids_.end());
-      universe = static_cast<std::size_t>(
-          std::unique(scratch_ids_.begin(), scratch_ids_.end()) - scratch_ids_.begin());
-    }
-
     Result out;
-    const std::uint64_t cap = lemma3_bound(cfg_.k, t);
-    out.accepted.reserve(std::min<std::uint64_t>(candidates.size(), cap));
-    for (const IdSeq& candidate : candidates) {
-      // Without fake IDs, an exact-size completion set X needs |I \ L| >= q
-      // real IDs; with them, the q fakes always pad a small hitting set.
-      if (!cfg_.fake_ids && universe < (t - 1) + static_cast<std::size_t>(q)) continue;
-      if (exists_bounded_hitting_set(out.accepted, candidate, q)) {
-        out.accepted.push_back(candidate);
-      }
-    }
+    out.accepted.assign(candidates.begin(), candidates.end());
+    prune_representative(out.accepted, cfg_.k, t, cfg_.fake_ids);
     return out;
   }
 
  private:
   PrunerConfig cfg_;
-  std::vector<NodeId> scratch_ids_;  ///< reused across calls; hot path runs once per node per round
 };
 
 /// Signed IDs so the fake IDs {-1, ..., -(k-t)} of Instruction 14 are
@@ -186,6 +158,40 @@ class PassThroughPruner final : public Pruner {
 };
 
 }  // namespace
+
+void prune_representative(std::vector<IdSeq>& family, unsigned k, unsigned t, bool fake_ids) {
+  validate_candidates(family, t, k);
+  const unsigned q = k - t;  // |X| — the completion-set size
+
+  if (!fake_ids) {
+    // Without Instruction 14 the completion set must consist of real IDs
+    // from I; |I \ L| = |I| - (t-1) must reach q at all, or nothing is
+    // accepted. Distinct IDs are counted in a reused per-thread scratch.
+    thread_local std::vector<NodeId> ids;
+    ids.clear();
+    for (const IdSeq& c : family) ids.insert(ids.end(), c.begin(), c.end());
+    std::sort(ids.begin(), ids.end());
+    const auto universe =
+        static_cast<std::size_t>(std::unique(ids.begin(), ids.end()) - ids.begin());
+    if (universe < (t - 1) + static_cast<std::size_t>(q)) {
+      family.clear();
+      return;
+    }
+  }
+
+  // Accepted candidates are compacted to the front as the scan goes: the
+  // accepted prefix [0, kept) is the family F the hitting-set test needs,
+  // and the candidate under test always sits at or after it.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < family.size(); ++i) {
+    if (!exists_bounded_hitting_set(std::span<const IdSeq>(family.data(), kept), family[i], q)) {
+      continue;
+    }
+    if (kept != i) family[kept] = std::move(family[i]);
+    ++kept;
+  }
+  family.erase(family.begin() + static_cast<std::ptrdiff_t>(kept), family.end());
+}
 
 std::unique_ptr<Pruner> make_pruner(PruningMode mode, const PrunerConfig& config) {
   DECYCLE_CHECK_MSG(config.k >= 3, "k must be at least 3");

@@ -11,8 +11,10 @@
 ///
 /// Three interchangeable implementations:
 ///
-///  * RepresentativePruner — production. The literal algorithm manipulates
-///    𝒳 = all (k-t)-subsets of I (exponential). Observing that after
+///  * prune_representative — production, a plain in-place function (no
+///    object per execution; make_pruner wraps it as a Pruner for the tests
+///    and benches that compare selectors). The literal algorithm
+///    manipulates 𝒳 = all (k-t)-subsets of I (exponential). Observing that after
 ///    accepting F the surviving 𝒳 is exactly {X : X hits every member of F},
 ///    a candidate L is accepted iff F has a hitting set of size <= k-t inside
 ///    I \ L (fake IDs pad any smaller hitting set up to the exact size k-t).
@@ -75,6 +77,12 @@ struct PrunerConfig {
 };
 
 [[nodiscard]] std::unique_ptr<Pruner> make_pruner(PruningMode mode, const PrunerConfig& config);
+
+/// The production selector in place: keeps, in candidate order, exactly the
+/// members of \p family that make_pruner(kRepresentative, {k, fake_ids})
+/// would accept and erases the rest. Same preconditions as Pruner::select.
+/// Allocation-free when fake_ids is set.
+void prune_representative(std::vector<IdSeq>& family, unsigned k, unsigned t, bool fake_ids);
 
 /// Lemma 3 bound on |S| at paper round t: (k-t+1)^(t-1).
 [[nodiscard]] std::uint64_t lemma3_bound(unsigned k, unsigned t) noexcept;

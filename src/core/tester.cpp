@@ -12,6 +12,17 @@ namespace {
 // Message tags.
 constexpr std::uint64_t kTagRank = 1;
 constexpr std::uint64_t kTagSequences = 2;
+
+/// Reads a Phase-2 message's tag and execution priority; the reader is
+/// left at the bundle.
+EdgePriority read_header(congest::MessageReader& r) {
+  DECYCLE_CHECK_MSG(r.get_u64() == kTagSequences, "unexpected message in phase-2 round");
+  EdgePriority ep;
+  ep.rank = r.get_u64();
+  ep.u = r.get_u64();
+  ep.v = r.get_u64();
+  return ep;
+}
 }  // namespace
 
 TesterProgram::TesterProgram(const DetectParams& params, std::size_t repetitions,
@@ -101,7 +112,7 @@ void TesterProgram::select_and_seed(congest::Context& ctx,
   state_.emplace(params_, my_id_, current_->u, current_->v);
 
   // This node is an endpoint of its chosen edge, so it always seeds.
-  const auto seqs = state_->seed();
+  const auto seqs = state_->seed(thread_bundle_buffer());
   DECYCLE_CHECK(!seqs.empty());
   max_sent_by_round_[0] = std::max(max_sent_by_round_[0], seqs.size());
   broadcast_sequences(ctx, seqs);
@@ -111,26 +122,13 @@ void TesterProgram::phase2_round(congest::Context& ctx, std::span<const congest:
                                  std::uint64_t g) {
   if (g > half_) return;
 
-  // First pass: the highest-priority edge mentioned this round (prioritized
-  // search: smaller (rank, u, v) preempts).
-  struct Incoming {
-    EdgePriority ep;
-    std::vector<IdSeq> seqs;
-  };
-  std::vector<Incoming> messages;
-  messages.reserve(inbox.size());
+  // Header pass: the highest-priority edge mentioned this round
+  // (prioritized search: smaller (rank, u, v) preempts).
   std::optional<EdgePriority> best = current_;
   for (const congest::Envelope& env : inbox) {
     congest::MessageReader r(env.payload);
-    const std::uint64_t tag = r.get_u64();
-    DECYCLE_CHECK_MSG(tag == kTagSequences, "unexpected message in phase-2 round");
-    Incoming in;
-    in.ep.rank = r.get_u64();
-    in.ep.u = r.get_u64();
-    in.ep.v = r.get_u64();
-    in.seqs = read_sequences(r);
-    if (!best || in.ep < *best) best = in.ep;
-    messages.push_back(std::move(in));
+    const EdgePriority ep = read_header(r);
+    if (!best || ep < *best) best = ep;
   }
   if (!best) return;
 
@@ -141,18 +139,20 @@ void TesterProgram::phase2_round(congest::Context& ctx, std::span<const congest:
     state_.emplace(params_, my_id_, current_->u, current_->v);
   }
 
-  std::vector<IdSeq> received;
-  for (Incoming& in : messages) {
-    if (in.ep == *current_) {
-      received.insert(received.end(), std::make_move_iterator(in.seqs.begin()),
-                      std::make_move_iterator(in.seqs.end()));
+  // Decode pass: only the served execution's sequences are built.
+  std::vector<IdSeq>& received = thread_bundle_buffer();
+  received.clear();
+  for (const congest::Envelope& env : inbox) {
+    congest::MessageReader r(env.payload);
+    if (read_header(r) == *current_) {
+      read_sequences(r, received);
     } else {
       ++discarded_;  // lower-priority execution: message dropped
     }
   }
   if (received.empty()) return;
 
-  auto to_send = state_->step(g, std::move(received));
+  const auto to_send = state_->step(g, received);
   overflow_ = overflow_ || state_->overflowed();
 
   if (g == half_) {
@@ -175,8 +175,7 @@ void TesterProgram::broadcast_sequences(congest::Context& ctx, std::span<const I
   w.put_u64(current_->u);
   w.put_u64(current_->v);
   write_sequences(w, seqs);
-  const congest::Message msg = w.finish();
-  ctx.send_all(msg);
+  ctx.send_all(w.finish());
 }
 
 TestVerdict test_ck_freeness(const graph::Graph& g, const graph::IdAssignment& ids,

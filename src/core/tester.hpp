@@ -80,6 +80,9 @@ class TesterProgram final : public congest::NodeProgram {
   std::vector<std::size_t> max_sent_by_round_;
 };
 
+static_assert(sizeof(TesterProgram) <= 392,
+              "TesterProgram grew; cached sessions keep one per node");
+
 struct TesterOptions {
   unsigned k = 5;
   double epsilon = 0.1;

@@ -13,6 +13,31 @@ namespace {
 // Message tags (this family's own wire namespace).
 constexpr std::uint64_t kTagRank = 1;
 constexpr std::uint64_t kTagBundle = 3;
+
+/// The calling thread's pool of bundle buffers. An execution borrows one
+/// when its first sequences of a round arrive and gives it back, emptied,
+/// once the round is done, so `pending` owns no memory between rounds
+/// (cached sessions keep the programs alive after the run) and a warmed
+/// thread decodes without allocating.
+std::vector<std::vector<IdSeq>>& spare_buffers() {
+  thread_local std::vector<std::vector<IdSeq>> spare;
+  return spare;
+}
+
+std::vector<IdSeq>& borrow(std::vector<IdSeq>& pending) {
+  std::vector<std::vector<IdSeq>>& spare = spare_buffers();
+  if (pending.capacity() == 0 && !spare.empty()) {
+    pending = std::move(spare.back());
+    spare.pop_back();
+  }
+  return pending;
+}
+
+void give_back(std::vector<IdSeq>& pending) {
+  if (pending.capacity() == 0) return;
+  pending.clear();
+  spare_buffers().push_back(std::move(pending));
+}
 }  // namespace
 
 ThresholdProgram::ThresholdProgram(const DetectParams& params, const BudgetSchedule& budget,
@@ -88,8 +113,8 @@ void ThresholdProgram::seed_executions(congest::Context& ctx,
   // node is an endpoint of each, so each seeds {(my_id)}. A missing rank
   // (owner's rank message lost) leaves the owner side to seed alone —
   // exactly the tester's fault posture.
-  std::vector<EdgePriority> candidates;
-  candidates.reserve(ctx.degree());
+  thread_local std::vector<EdgePriority> candidates;
+  candidates.clear();
   for (std::uint32_t port = 0; port < ctx.degree(); ++port) {
     if (port_rank_[port] == kRankMissing) continue;
     const NodeId other = ctx.neighbor_id(port);
@@ -102,50 +127,45 @@ void ThresholdProgram::seed_executions(congest::Context& ctx,
       max_tracked_ == 0 ? candidates.size() : std::min(candidates.size(), max_tracked_);
   stats_.seed_capped += candidates.size() - cap;
 
-  // Reserve up front: bundle entries point at tracked_ elements.
   tracked_.reserve(cap);
-  std::vector<std::pair<const EdgePriority*, std::vector<IdSeq>>> out;
-  out.reserve(cap);
   for (std::size_t i = 0; i < cap; ++i) {
-    tracked_.push_back(Execution{candidates[i],
-                                 EdgeDetectState(params_, my_id_, candidates[i].u,
-                                                 candidates[i].v),
-                                 {}});
-    auto seeds = tracked_.back().state.seed();
-    DECYCLE_CHECK(!seeds.empty());  // this node is always an endpoint
+    Execution& ex = tracked_.emplace_back(Execution{
+        candidates[i], EdgeDetectState(params_, my_id_, candidates[i].u, candidates[i].v), {}});
+    DECYCLE_CHECK(!ex.state.seed(borrow(ex.pending)).empty());  // always an endpoint
     ++stats_.seeded_executions;
-    out.emplace_back(&tracked_.back().ep, std::move(seeds));
   }
   stats_.peak_tracked = std::max(stats_.peak_tracked, tracked_.size());
-  if (!out.empty()) broadcast_bundles(ctx, 0, out);
+  broadcast_bundles(ctx, 0);
+  for (Execution& ex : tracked_) give_back(ex.pending);
 }
 
-void ThresholdProgram::deliver(const EdgePriority& ep, std::vector<IdSeq>&& seqs) {
+void ThresholdProgram::deliver(const EdgePriority& ep, congest::MessageReader& r) {
   const auto pos = [&] {
     return std::lower_bound(tracked_.begin(), tracked_.end(), ep,
                             [](const Execution& e, const EdgePriority& p) { return e.ep < p; });
   };
   auto it = pos();
   if (it != tracked_.end() && it->ep == ep) {
-    it->pending.insert(it->pending.end(), std::make_move_iterator(seqs.begin()),
-                       std::make_move_iterator(seqs.end()));
+    read_sequences(r, borrow(it->pending));
     return;
   }
   if (max_tracked_ != 0 && tracked_.size() >= max_tracked_) {
     if (!(ep < tracked_.back().ep)) {
-      stats_.discarded_sequences += seqs.size();  // lower priority than everything tracked
+      // Lower priority than everything tracked: counted, never built.
+      stats_.discarded_sequences += skip_sequences(r);
       return;
     }
     // Evict the worst tracked execution; sequences it had already
     // accumulated this round are squeezed out too and must show up in the
     // discard counter (the "counted, never silently" contract).
     stats_.discarded_sequences += tracked_.back().pending.size();
+    give_back(tracked_.back().pending);
     tracked_.pop_back();
     ++stats_.evictions;
     it = pos();
   }
-  tracked_.insert(it, Execution{ep, EdgeDetectState(params_, my_id_, ep.u, ep.v),
-                                std::move(seqs)});
+  it = tracked_.insert(it, Execution{ep, EdgeDetectState(params_, my_id_, ep.u, ep.v), {}});
+  read_sequences(r, borrow(it->pending));
   stats_.peak_tracked = std::max(stats_.peak_tracked, tracked_.size());
 }
 
@@ -166,61 +186,59 @@ void ThresholdProgram::bundle_round(congest::Context& ctx,
       ep.rank = r.get_u64();
       ep.u = r.get_u64();
       ep.v = r.get_u64();
-      deliver(ep, read_sequences(r));
+      deliver(ep, r);
     }
   }
 
   // Step every execution that received traffic; tracked_ is stable here.
-  std::vector<std::pair<const EdgePriority*, std::vector<IdSeq>>> out;
+  // Each step leaves the execution's outgoing bundle in its `pending`.
   for (Execution& ex : tracked_) {
     if (ex.pending.empty()) continue;
-    auto to_send = ex.state.step(g, std::move(ex.pending));
-    ex.pending.clear();
+    (void)ex.state.step(g, ex.pending);
     overflow_ = overflow_ || ex.state.overflowed();
-    if (g == half_) {
-      if (ex.state.rejected() && witness_ids_.empty()) {
-        witness_ids_ = ex.state.witness_cycle_ids();
-        reject_sweep_ = static_cast<std::size_t>(ctx.round() / sweep_len_);
-      }
-      continue;
+    if (g == half_ && ex.state.rejected() && witness_ids_.empty()) {
+      witness_ids_ = ex.state.witness_cycle_ids();
+      reject_sweep_ = static_cast<std::size_t>(ctx.round() / sweep_len_);
     }
-    if (!to_send.empty()) out.emplace_back(&ex.ep, std::move(to_send));
   }
-  if (!out.empty()) broadcast_bundles(ctx, g, out);
+  if (g < half_) broadcast_bundles(ctx, g);  // the final check sends nothing
+  for (Execution& ex : tracked_) give_back(ex.pending);
 }
 
-void ThresholdProgram::broadcast_bundles(
-    congest::Context& ctx, std::uint64_t g,
-    std::vector<std::pair<const EdgePriority*, std::vector<IdSeq>>>& out) {
-  // Per-link budget: keep sequences in priority order (out is already
-  // sorted by execution priority), truncate the rest. One merged message
-  // per link keeps the CONGEST one-slot discipline.
+void ThresholdProgram::broadcast_bundles(congest::Context& ctx, std::uint64_t g) {
+  // Per-link budget: keep sequences in priority order (tracked_ is sorted
+  // by execution priority), truncate the rest. One merged message per link
+  // keeps the CONGEST one-slot discipline.
   const std::size_t cap = budget_.at(g);
-  std::size_t remaining = cap == 0 ? ~std::size_t{0} : cap;
+  const std::size_t unlimited = ~std::size_t{0};
+  std::size_t remaining = cap == 0 ? unlimited : cap;
   std::size_t kept_execs = 0;
   std::size_t kept_seqs = 0;
-  std::vector<std::size_t> keep(out.size(), 0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    keep[i] = std::min(out[i].second.size(), remaining);
-    remaining -= keep[i];
-    stats_.budget_truncated += out[i].second.size() - keep[i];
-    if (keep[i] != 0) ++kept_execs;
-    kept_seqs += keep[i];
+  for (const Execution& ex : tracked_) {
+    const std::size_t keep = std::min(ex.pending.size(), remaining);
+    remaining -= keep;
+    stats_.budget_truncated += ex.pending.size() - keep;
+    if (keep != 0) ++kept_execs;
+    kept_seqs += keep;
   }
-  if (kept_seqs == 0) return;  // budget swallowed the whole round
 
-  congest::MessageWriter w;
-  w.put_u64(kTagBundle);
-  w.put_u64(kept_execs);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (keep[i] == 0) continue;
-    w.put_u64(out[i].first->rank);
-    w.put_u64(out[i].first->u);
-    w.put_u64(out[i].first->v);
-    write_sequences(w, std::span<const IdSeq>(out[i].second.data(), keep[i]));
+  if (kept_seqs != 0) {
+    congest::MessageWriter w;
+    w.put_u64(kTagBundle);
+    w.put_u64(kept_execs);
+    remaining = cap == 0 ? unlimited : cap;  // replay the same cut
+    for (const Execution& ex : tracked_) {
+      const std::size_t keep = std::min(ex.pending.size(), remaining);
+      remaining -= keep;
+      if (keep == 0) continue;
+      w.put_u64(ex.ep.rank);
+      w.put_u64(ex.ep.u);
+      w.put_u64(ex.ep.v);
+      write_sequences(w, std::span<const IdSeq>(ex.pending.data(), keep));
+    }
+    max_sent_by_round_[g] = std::max(max_sent_by_round_[g], kept_seqs);
+    ctx.send_all(w.finish());
   }
-  max_sent_by_round_[g] = std::max(max_sent_by_round_[g], kept_seqs);
-  ctx.send_all(w.finish());
 }
 
 ThresholdVerdict test_ck_freeness_threshold(const graph::Graph& g,

@@ -101,24 +101,28 @@ class ThresholdProgram final : public congest::NodeProgram {
 
  private:
   /// One tracked edge execution. `pending` accumulates this round's inbound
-  /// sequences before the state machine steps once per round.
+  /// sequences (decoded straight off the wire), the state machine steps it
+  /// in place once per round, and it then holds the execution's outgoing
+  /// bundle until the merged broadcast. Its storage is borrowed from a
+  /// per-thread pool for the duration of one on_round() only.
   struct Execution {
     EdgePriority ep;
     EdgeDetectState state;
     std::vector<IdSeq> pending;
   };
+  static_assert(sizeof(Execution) <= 208, "Execution grew (DESIGN.md §7.1)");
 
   void start_sweep(congest::Context& ctx, std::size_t sweep);
   void seed_executions(congest::Context& ctx, std::span<const congest::Envelope> inbox);
   void bundle_round(congest::Context& ctx, std::span<const congest::Envelope> inbox,
                     std::uint64_t g);
-  /// Adds sequences to the execution for \p ep, adopting (and possibly
-  /// evicting) under the tracking cap. May create the execution's state.
-  void deliver(const EdgePriority& ep, std::vector<IdSeq>&& seqs);
-  /// Broadcasts every execution's outgoing bundle as one merged message,
-  /// truncated to budget_.at(g) sequences in priority order.
-  void broadcast_bundles(congest::Context& ctx, std::uint64_t g,
-                         std::vector<std::pair<const EdgePriority*, std::vector<IdSeq>>>& out);
+  /// Decodes the bundle at \p r into the execution for \p ep, adopting
+  /// (and possibly evicting) under the tracking cap, or skips and counts it
+  /// when \p ep ranks below everything tracked. May create the execution.
+  void deliver(const EdgePriority& ep, congest::MessageReader& r);
+  /// Broadcasts every execution's outgoing bundle (its `pending`) as one
+  /// merged message, truncated to budget_.at(g) sequences in priority order.
+  void broadcast_bundles(congest::Context& ctx, std::uint64_t g);
 
   DetectParams params_;
   BudgetSchedule budget_;

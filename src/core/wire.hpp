@@ -21,17 +21,36 @@ inline void write_sequences(congest::MessageWriter& w, std::span<const IdSeq> se
   }
 }
 
-inline std::vector<IdSeq> read_sequences(congest::MessageReader& r) {
+/// The calling thread's reusable bundle buffer. A Phase-2 program decodes
+/// its inbox into it, prunes in place and broadcasts from it within one
+/// on_round(), so pooled stepping gives every worker thread its own and a
+/// warmed thread decodes without allocating. Never hold it across calls.
+inline std::vector<IdSeq>& thread_bundle_buffer() {
+  thread_local std::vector<IdSeq> buffer;
+  return buffer;
+}
+
+/// Decodes the bundle at the reader's position and appends its sequences
+/// to \p out (existing entries are kept), so callers decode straight into
+/// a buffer they reuse.
+inline void read_sequences(congest::MessageReader& r, std::vector<IdSeq>& out) {
   const std::uint64_t count = r.get_u64();
-  std::vector<IdSeq> out;
-  out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t len = r.get_u64();
-    IdSeq s;
+    IdSeq& s = out.emplace_back();
     for (std::uint64_t j = 0; j < len; ++j) s.push_back(r.get_u64());
-    out.push_back(std::move(s));
   }
-  return out;
+}
+
+/// Reads past the bundle at the reader's position without building it;
+/// returns its sequence count.
+inline std::uint64_t skip_sequences(congest::MessageReader& r) {
+  const std::uint64_t count = r.get_u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t len = r.get_u64();
+    for (std::uint64_t j = 0; j < len; ++j) (void)r.get_u64();
+  }
+  return count;
 }
 
 }  // namespace decycle::core

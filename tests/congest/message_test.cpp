@@ -76,6 +76,37 @@ TEST(Codec, MalformedVarintThrows) {
   const Message m(std::move(bytes));
   MessageReader r(m);
   EXPECT_THROW((void)r.get_u64(), util::CheckError);
+
+  // A 10th byte above 1 sets bits past 63: it used to wrap silently
+  // (80x9 02 decoded to 0, ffx9 7f to 2^64-1).
+  std::vector<std::uint8_t> wraps_to_zero(9, 0x80);
+  wraps_to_zero.push_back(0x02);
+  std::vector<std::uint8_t> wraps_to_max(9, 0xff);
+  wraps_to_max.push_back(0x7f);
+  for (const auto& malformed : {wraps_to_zero, wraps_to_max}) {
+    const Message bad(malformed);
+    MessageReader rb(bad);
+    EXPECT_THROW((void)rb.get_u64(), util::CheckError);
+  }
+
+  // The largest legal encoding still decodes: ffx9 01 is 2^64-1.
+  std::vector<std::uint8_t> max_legal(9, 0xff);
+  max_legal.push_back(0x01);
+  const Message ok(max_legal);
+  MessageReader rok(ok);
+  EXPECT_EQ(rok.get_u64(), ~std::uint64_t{0});
+  EXPECT_TRUE(rok.at_end());
+}
+
+TEST(Codec, ReaderDecodesAPayloadView) {
+  MessageWriter w;
+  w.put_u64(300).put_u64(7);
+  const Message m = w.finish();
+  const Payload view = m.bytes();
+  MessageReader r(view);
+  EXPECT_EQ(r.get_u64(), 300u);
+  EXPECT_EQ(r.get_u64(), 7u);
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(WireFormat, SequencesRoundTrip) {
@@ -87,7 +118,8 @@ TEST(WireFormat, SequencesRoundTrip) {
   core::write_sequences(w, seqs);
   const Message m = w.finish();
   MessageReader r(m);
-  const auto back = core::read_sequences(r);
+  std::vector<core::IdSeq> back;
+  core::read_sequences(r, back);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[0], seqs[0]);
   EXPECT_EQ(back[1], seqs[1]);
@@ -100,7 +132,26 @@ TEST(WireFormat, EmptyBundle) {
   core::write_sequences(w, {});
   const Message m = w.finish();
   MessageReader r(m);
-  EXPECT_TRUE(core::read_sequences(r).empty());
+  std::vector<core::IdSeq> back;
+  core::read_sequences(r, back);
+  EXPECT_TRUE(back.empty());
+}
+
+TEST(WireFormat, ReadAppendsAndSkipCounts) {
+  const std::vector<core::IdSeq> first{core::IdSeq{1, 2}};
+  const std::vector<core::IdSeq> second{core::IdSeq{3}, core::IdSeq{4, 5, 6}};
+  MessageWriter w;
+  core::write_sequences(w, first);
+  core::write_sequences(w, second);
+  core::write_sequences(w, first);
+  const Message m = w.finish();
+  MessageReader r(m);
+  std::vector<core::IdSeq> back{core::IdSeq{9}};  // existing entries are kept
+  core::read_sequences(r, back);
+  EXPECT_EQ(core::skip_sequences(r), 2u);
+  core::read_sequences(r, back);
+  EXPECT_EQ(back, (std::vector<core::IdSeq>{core::IdSeq{9}, core::IdSeq{1, 2}, core::IdSeq{1, 2}}));
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(WireFormat, BitSizeTracksIdMagnitude) {

@@ -377,9 +377,14 @@ TEST(Simulator, SteadyStateDeliveryIsAllocationFree) {
   ASSERT_TRUE(testsupport::allocation_probe_active());
 
   /// Chatty gossip with no per-node state at all, so every allocation in
-  /// the run belongs to the simulator.
+  /// the run belongs to the simulator. \p extra appends that many 6-byte
+  /// varints: with 8 the broadcast is a ~56-byte bundle, past the 24 bytes
+  /// that once fit a Message's inline buffer, so this fails if payloads go
+  /// back to per-message heap storage.
   class StatelessChatter final : public NodeProgram {
    public:
+    explicit StatelessChatter(unsigned extra) : extra_(extra) {}
+
     void on_round(Context& ctx, std::span<const Envelope> inbox) override {
       std::uint64_t acc = 0;
       for (const Envelope& env : inbox) {
@@ -389,30 +394,37 @@ TEST(Simulator, SteadyStateDeliveryIsAllocationFree) {
       if (ctx.round() >= 24) return;
       MessageWriter w;
       w.put_u64(ctx.my_id()).put_u64(acc);
+      for (unsigned i = 0; i < extra_; ++i) w.put_u64((std::uint64_t{1} << 40) + i);
       ctx.send_all(w.finish());
       if (ctx.round() % 5 == 0) ctx.request_wakeup_at(ctx.round() + 2);
     }
+
+   private:
+    unsigned extra_;
   };
 
   const Graph g = graph::grid(12, 12);
   const IdAssignment ids = IdAssignment::identity(g.num_vertices());
   util::ThreadPool pool(4);
 
-  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    Simulator sim(g, ids, [](Vertex) { return std::make_unique<StatelessChatter>(); });
-    Simulator::Options opt;
-    opt.pool = p;
-    opt.parallel_threshold = 1;
-    const RunStats warm = sim.run(opt);
-    EXPECT_TRUE(warm.halted);
+  for (const unsigned extra : {0u, 8u}) {
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+      Simulator sim(g, ids, [extra](Vertex) { return std::make_unique<StatelessChatter>(extra); });
+      Simulator::Options opt;
+      opt.pool = p;
+      opt.parallel_threshold = 1;
+      const RunStats warm = sim.run(opt);
+      EXPECT_TRUE(warm.halted);
+      if (extra != 0) EXPECT_GT(warm.max_link_bits, 24u * 8);
 
-    const std::uint64_t before = testsupport::allocation_count();
-    const RunStats steady = sim.run(opt);
-    const std::uint64_t after = testsupport::allocation_count();
-    EXPECT_TRUE(steady.halted);
-    EXPECT_EQ(steady.total_messages, warm.total_messages);
-    EXPECT_EQ(after - before, 0u) << (p == nullptr ? "serial" : "pooled")
-                                  << " steady-state run allocated";
+      const std::uint64_t before = testsupport::allocation_count();
+      const RunStats steady = sim.run(opt);
+      const std::uint64_t after = testsupport::allocation_count();
+      EXPECT_TRUE(steady.halted);
+      EXPECT_EQ(steady.total_messages, warm.total_messages);
+      EXPECT_EQ(after - before, 0u) << (p == nullptr ? "serial" : "pooled") << " extra=" << extra
+                                    << " steady-state run allocated";
+    }
   }
 }
 

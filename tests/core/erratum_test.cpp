@@ -116,7 +116,8 @@ TEST(ErratumEB, StateLevelFilterDropsMyidSequences) {
   DetectParams p;
   p.k = 6;
   EdgeDetectState w(p, /*my=*/2, /*u=*/0, /*v=*/1);
-  (void)w.step(3, {IdSeq{0, 2, 3}, IdSeq{1, 4, 5}});
+  std::vector<IdSeq> received{IdSeq{0, 2, 3}, IdSeq{1, 4, 5}};
+  (void)w.step(3, received);
   EXPECT_FALSE(w.rejected());
 }
 

@@ -34,7 +34,7 @@ SweepOutcome run_manual(const graph::Graph& g, unsigned k, graph::Vertex u, grap
   std::vector<std::vector<IdSeq>> outgoing(g.num_vertices());
   SweepOutcome out;
   for (graph::Vertex x = 0; x < g.num_vertices(); ++x) {
-    outgoing[x] = states[x].seed();
+    (void)states[x].seed(outgoing[x]);
     out.max_bundle = std::max(out.max_bundle, outgoing[x].size());
   }
   for (unsigned round = 1; round <= k / 2; ++round) {
@@ -45,7 +45,8 @@ SweepOutcome run_manual(const graph::Graph& g, unsigned k, graph::Vertex u, grap
         received.insert(received.end(), outgoing[nb].begin(), outgoing[nb].end());
       }
       if (received.empty()) continue;
-      next[x] = states[x].step(round, std::move(received));
+      (void)states[x].step(round, received);  // leaves the bundle to forward
+      next[x] = std::move(received);
       out.max_bundle = std::max(out.max_bundle, next[x].size());
     }
     outgoing = std::move(next);

@@ -101,7 +101,7 @@ TEST(MessageFuzz, ContinuationOnlyBuffersThrow) {
 TEST(MessageFuzz, InlineSpillBoundaryPreservesBytes) {
   // Grow a message one byte at a time across the inline-capacity boundary;
   // contents must be preserved verbatim through the spill and through
-  // moves (the delivery path moves messages between buffers).
+  // moves (finish() moves the message out of its writer).
   for (std::size_t len = 0; len <= 2 * Message::kInlineCapacity; ++len) {
     MessageWriter w;
     for (std::size_t i = 0; i < len; ++i) w.put_u64(i % 100);  // 1 byte each
