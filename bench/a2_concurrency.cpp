@@ -16,10 +16,12 @@
 /// Expectation: concurrent >= isolated (surviving secondary executions add
 /// bonus detections, discarding only removes them), and soundness is
 /// preserved (every concurrent rejection validated internally).
-#include <atomic>
 #include <iostream>
+#include <vector>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
+#include "core/phase1.hpp"
+#include "engine/engine.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/subgraph.hpp"
 #include "harness/claims.hpp"
@@ -37,6 +39,8 @@ int main(int argc, char** argv) {
   util::Table table({"instance", "k", "isolated rate", "concurrent rate", "switches/run",
                      "discards/run", "claim"});
   util::ThreadPool& pool = util::global_pool();
+  const engine::DetectionEngine eng{engine::EngineOptions{.pool = &pool}};
+  const core::Detector& tester = core::DetectorRegistry::builtin().require("tester");
 
   struct Case {
     std::string name;
@@ -93,32 +97,35 @@ int main(int argc, char** argv) {
         },
         trials, 555, &pool);
 
-    // Concurrent: one-repetition tester runs.
-    std::atomic<std::size_t> switches{0}, discards{0};
-    const auto concurrent = harness::estimate_rate(
-        [&](std::size_t, std::uint64_t seed) {
-          core::TesterOptions topt;
-          topt.k = c.k;
-          topt.repetitions = 1;
-          topt.seed = seed;
-          const auto verdict = core::test_ck_freeness(g, ids, topt);
-          switches.fetch_add(verdict.total_switches, std::memory_order_relaxed);
-          discards.fetch_add(verdict.total_discarded, std::memory_order_relaxed);
-          return !verdict.accepted;
-        },
-        trials, 777, &pool);
+    // Concurrent: one-repetition tester runs, one query per trial (the
+    // estimate_rate seed scheme), with the tester's switch/discard counters.
+    std::vector<engine::Query> queries(trials);
+    for (std::size_t i = 0; i < trials; ++i) {
+      queries[i].detector = &tester;
+      queries[i].options.k = c.k;
+      queries[i].options.repetitions = 1;
+      queries[i].options.seed = engine::trial_seed(777, i);
+    }
+    const std::vector<core::Verdict> verdicts = eng.run_batch(engine::pin(g, ids), queries);
+    std::uint64_t rejections = 0, switches = 0, discards = 0;
+    for (const core::Verdict& v : verdicts) {
+      rejections += v.accepted ? 0 : 1;
+      switches += tester.counter(v, "switches_total");
+      discards += tester.counter(v, "discarded_total");
+    }
+    const double concurrent = util::wilson_interval(rejections, trials).estimate;
 
     // Wilson intervals overlap handling: require concurrent point estimate
     // to clear the isolated lower bound (bonus detections never hurt).
-    const bool holds = concurrent.rate() >= isolated.interval.low;
+    const bool holds = concurrent >= isolated.interval.low;
     claims.check("concurrent >= isolated on " + c.name, holds);
     table.row()
         .cell(c.name)
         .cell(static_cast<std::uint64_t>(c.k))
         .cell(isolated.rate(), 3)
-        .cell(concurrent.rate(), 3)
-        .cell(static_cast<double>(switches.load()) / static_cast<double>(trials), 1)
-        .cell(static_cast<double>(discards.load()) / static_cast<double>(trials), 1)
+        .cell(concurrent, 3)
+        .cell(static_cast<double>(switches) / static_cast<double>(trials), 1)
+        .cell(static_cast<double>(discards) / static_cast<double>(trials), 1)
         .cell_ok(holds);
   }
 

@@ -11,8 +11,8 @@
 #include <cstdio>
 #include <iostream>
 
+#include "core/detector.hpp"
 #include "core/scan.hpp"
-#include "core/tester.hpp"
 #include "graph/far_generators.hpp"
 #include "harness/claims.hpp"
 #include "util/cli.hpp"
@@ -51,13 +51,14 @@ int main(int argc, char** argv) {
 
   util::Table table({"eps", "tester rounds", "scan rounds (exact)", "tester cheaper",
                      "predicted winner", "agree"});
+  const core::Detector& tester = core::DetectorRegistry::builtin().require("tester");
   const double eps_values[] = {0.5, 0.2, 0.05, 0.02, 0.01, 0.005, 0.002};
   for (const double eps : eps_values) {
-    core::TesterOptions topt;
+    core::DetectorOptions topt;
     topt.k = k;
     topt.epsilon = eps;
     topt.seed = 3;
-    const auto verdict = core::test_ck_freeness(far_inst.graph, ids, topt);
+    const core::Verdict verdict = tester.run_fresh(far_inst.graph, ids, topt);
     const bool tester_cheaper = verdict.stats.rounds_executed < scan.schedule_rounds;
     // Within 2x of the crossover the ceilings decide; only check the clear
     // cases.

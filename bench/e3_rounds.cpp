@@ -9,7 +9,8 @@
 #include <cmath>
 #include <iostream>
 
-#include "core/tester.hpp"
+#include "core/detector.hpp"
+#include "core/phase1.hpp"
 #include "graph/far_generators.hpp"
 #include "harness/claims.hpp"
 #include "util/cli.hpp"
@@ -36,15 +37,16 @@ int main(int argc, char** argv) {
   util::Table table({"eps", "1/eps", "reps", "rounds", "rounds*eps", "normalized rounds (B)",
                      "model reps", "claim"});
 
+  const core::Detector& tester = core::DetectorRegistry::builtin().require("tester");
   const double eps_values[] = {0.5, 0.3, 0.2, 0.1, 0.05, 0.02};
   double first_scaled = 0.0;
   for (const double eps : eps_values) {
-    core::TesterOptions topt;
+    core::DetectorOptions topt;
     topt.k = k;
     topt.epsilon = eps;
     topt.seed = 11;
     topt.record_rounds = true;
-    const auto verdict = core::test_ck_freeness(inst.graph, ids, topt);
+    const core::Verdict verdict = tester.run_fresh(inst.graph, ids, topt);
 
     const auto model_reps = core::recommended_repetitions(eps);
     const auto model_rounds = model_reps * (k / 2 + 2);

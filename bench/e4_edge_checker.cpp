@@ -10,7 +10,7 @@
 /// round-complexity statement).
 #include <iostream>
 
-#include "core/cycle_detector.hpp"
+#include "core/detector.hpp"
 #include "graph/generators.hpp"
 #include "graph/subgraph.hpp"
 #include "harness/claims.hpp"
@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   harness::ClaimSet claims("E4 single-edge checker exactness (Lemma 2)");
   util::Table table({"k", "graphs", "edges checked", "positives", "mismatches", "us/check",
                      "max rounds", "claim"});
+  const core::Detector& checker = core::DetectorRegistry::builtin().require("edge_checker");
 
   for (unsigned k = 3; k <= 8; ++k) {
     std::size_t checked = 0, positives = 0, mismatches = 0;
@@ -38,14 +39,17 @@ int main(int argc, char** argv) {
       util::Rng rng(100 * k + trial);
       const graph::Graph g = graph::erdos_renyi_gnm(n, m, rng);
       const graph::IdAssignment ids = graph::IdAssignment::random_quadratic(n, rng);
+      congest::Simulator sim(g, ids);  // reset per edge: one table build per graph
+      core::DetectorOptions opt;
+      opt.k = k;
       for (const auto& e : g.edges()) {
-        core::EdgeDetectionOptions opt;
-        opt.detect.k = k;
-        const auto result = core::detect_cycle_through_edge(g, ids, e, opt);
+        opt.edge = e;
+        const core::Verdict result = checker.run(sim, opt);
+        const bool found = !result.accepted;
         const bool truth = graph::has_cycle_through_edge(g, k, e.first, e.second);
         ++checked;
-        if (result.found) ++positives;
-        if (result.found != truth) ++mismatches;
+        if (found) ++positives;
+        if (found != truth) ++mismatches;
         max_rounds = std::max(max_rounds, result.stats.rounds_executed);
       }
     }

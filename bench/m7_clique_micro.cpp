@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/clique_hcycle.hpp"
+#include "core/detector.hpp"
 #include "graph/far_generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
@@ -106,10 +106,11 @@ int main(int argc, char** argv) {
     row.n = n;
     row.edges = inst.graph.num_edges();
 
-    baselines::CliqueHCycleVerdict base;
+    const core::Detector& det = core::DetectorRegistry::builtin().require("clique_hcycle");
+    core::Verdict base;
     for (const unsigned t : thread_counts) {
       std::unique_ptr<util::ThreadPool> pool;
-      baselines::CliqueHCycleOptions opt;
+      core::DetectorOptions opt;
       opt.k = kK;
       opt.seed = 0xFA17;
       if (t > 1) {
@@ -120,25 +121,24 @@ int main(int argc, char** argv) {
       tr.threads = t;
       for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const auto v = baselines::detect_hcycle_clique(inst.graph, ids, opt);
+        const core::Verdict v = det.run_fresh(inst.graph, ids, opt);
         const double dt = seconds_since(t0);
         if (rep == 0 || dt < tr.seconds) tr.seconds = dt;
         if (t == 1 && rep == 0) {
           base = v;
-          row.phases = v.phases;
-          row.sampled_vertices = v.sampled_vertices;
-          row.sampled_edges = v.sampled_edges;
+          row.phases = det.counter(v, "phases_total");
+          row.sampled_vertices = det.counter(v, "sampled_vertices_total");
+          row.sampled_edges = det.counter(v, "sampled_edges_total");
           row.rounds = v.stats.rounds_executed;
           row.messages = v.stats.total_messages;
           row.bits = v.stats.total_bits;
-          row.rounds_saved = v.rounds_saved;
-          row.early_exit = v.early_exit;
+          row.rounds_saved = det.counter(v, "rounds_saved_total");
+          row.early_exit = det.counter(v, "early_exit_trials") != 0;
         }
         ok &= check(!v.accepted, "planted instance must be rejected");
+        // counters: phases, sampled vertices/edges, early exit, rounds saved.
         ok &= check(v.accepted == base.accepted && v.witness == base.witness &&
-                        v.phases == base.phases &&
-                        v.sampled_vertices == base.sampled_vertices &&
-                        v.sampled_edges == base.sampled_edges &&
+                        v.counters == base.counters &&
                         v.stats.rounds_executed == base.stats.rounds_executed &&
                         v.stats.total_messages == base.stats.total_messages &&
                         v.stats.total_bits == base.stats.total_bits,

@@ -11,39 +11,20 @@
 ///
 /// This baseline exists for experiment B1: the paper's algorithm at k=4
 /// versus the specialized tester whose technique provably fails for k >= 5.
+/// It runs as the registry's "c4" (k = 4 only; repetitions = iterations,
+/// default 64).
 #pragma once
 
-#include <cstdint>
-
-#include "congest/simulator.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct C4TesterOptions {
-  std::size_t iterations = 64;
-  std::uint64_t seed = 1;
-  bool validate_witnesses = true;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
+class C4Detector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "c4"; }
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override;
 };
-
-struct C4Verdict {
-  bool accepted = true;
-  std::size_t rejecting_nodes = 0;
-  std::vector<graph::Vertex> witness;  ///< a validated C4 when rejected
-  congest::RunStats stats;
-};
-
-[[nodiscard]] C4Verdict test_c4_freeness_frst(const graph::Graph& g,
-                                              const graph::IdAssignment& ids,
-                                              const C4TesterOptions& options);
-
-/// Same, but on an existing Simulator for the topology (reset + run — the
-/// reuse contract: bit-identical to the fresh-build overload). This is how
-/// the detector registry drives the baseline from reused lab lanes.
-[[nodiscard]] C4Verdict test_c4_freeness_frst(congest::Simulator& sim,
-                                              const C4TesterOptions& options);
 
 }  // namespace decycle::baselines

@@ -33,51 +33,28 @@
 /// this is the O(1)-round Congested Clique idiom (Lenzen routing compressed
 /// into one logical round); RunStats' bit totals account the real traffic,
 /// which is how the bench demonstrates the cycle-count adaptivity.
+///
+/// CliqueHCycleDetector is the registry's "clique_hcycle". Its counters
+/// record the adaptivity: phases_total (sampling phases executed),
+/// sampled_vertices_total (|S| at exit), sampled_edges_total (edges of the
+/// collector's subgraph at exit), early_exit_trials (1 when found before
+/// the full-vertex phase) and rounds_saved_total (schedule rounds the early
+/// exit skipped).
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "congest/simulator.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
-#include "util/thread_pool.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct CliqueHCycleOptions {
-  unsigned k = 5;                  ///< cycle length h to detect
-  std::uint64_t seed = 1;          ///< drives the sampling permutation
-  std::size_t initial_sample = 8;  ///< |S_0| (clamped to [1, n]); doubles per phase
-  bool validate_witnesses = true;
-  util::ThreadPool* pool = nullptr;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
+/// Runs on a Simulator built with CommModel::clique() only; anything else
+/// throws CheckError.
+class CliqueHCycleDetector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "clique_hcycle"; }
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] std::span<const core::CounterDef> counters() const noexcept override;
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override;
 };
-
-struct CliqueHCycleVerdict {
-  bool accepted = true;
-  std::size_t rejecting_nodes = 0;     ///< nodes that learned the witness
-  std::vector<graph::Vertex> witness;  ///< a validated C_k when rejected
-  congest::RunStats stats;
-
-  // --- adaptivity instrumentation (the detector's typed counters) --------
-  std::uint64_t phases = 0;            ///< sampling phases executed
-  std::uint64_t sampled_vertices = 0;  ///< |S| at exit
-  std::uint64_t sampled_edges = 0;     ///< edges of the collector's subgraph at exit
-  bool early_exit = false;             ///< found before the full-vertex phase
-  std::uint64_t rounds_saved = 0;      ///< schedule rounds skipped by the early exit
-};
-
-/// Runs on a fresh clique-model Simulator built for (g, ids).
-[[nodiscard]] CliqueHCycleVerdict detect_hcycle_clique(const graph::Graph& g,
-                                                       const graph::IdAssignment& ids,
-                                                       const CliqueHCycleOptions& options);
-
-/// Same, on an existing Simulator (reset + run — the reuse contract:
-/// bit-identical to the fresh-build overload). The simulator MUST have been
-/// built with CommModel::clique(); anything else throws CheckError.
-[[nodiscard]] CliqueHCycleVerdict detect_hcycle_clique(congest::Simulator& sim,
-                                                       const CliqueHCycleOptions& options);
 
 }  // namespace decycle::baselines

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "graph/subgraph.hpp"
 #include "util/check.hpp"
@@ -153,6 +154,42 @@ ColorCodingResult find_cycle_color_coding(const Graph& g, unsigned k,
     }
   }
   return result;
+}
+
+const core::DetectorCapabilities& ColorCodingDetector::capabilities() const noexcept {
+  // max_k is a lab-practicality bound: auto iteration counts grow like
+  // e^k, so k=8 already means ~3000 colorings of an O(m·2^k) DP.
+  static constexpr core::DetectorCapabilities caps{
+      .min_k = 3,
+      .max_k = 8,
+      .distributed = false,
+      // Reads sim.graph() only, so any communication model is fine.
+      .models = congest::kModelAll,
+      .summary = "centralized color-coding reference (Alon–Yuster–Zwick): ⌈e^k·ln3⌉ "
+                 "random colorings, colorful-cycle DP"};
+  return caps;
+}
+
+std::span<const core::CounterDef> ColorCodingDetector::counters() const noexcept {
+  static constexpr core::CounterDef defs[] = {
+      {"iterations_total", core::CounterKind::kSum},
+  };
+  return defs;
+}
+
+core::Verdict ColorCodingDetector::run(congest::Simulator& sim,
+                                       const core::DetectorOptions& options) const {
+  ColorCodingResult result =
+      find_cycle_color_coding(sim.graph(), options.k,
+                              ColorCodingOptions{.iterations = options.repetitions,
+                                                 .seed = options.seed});
+  core::Verdict v;
+  v.accepted = !result.found;
+  v.rejecting_nodes = result.found ? 1 : 0;
+  v.witness = std::move(result.witness);
+  v.repetitions = result.iterations_budget;
+  v.counters = {result.iterations_used};
+  return v;
 }
 
 }  // namespace decycle::baselines

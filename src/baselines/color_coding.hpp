@@ -9,13 +9,15 @@
 /// is always validated and real).
 ///
 /// Used by experiment B1 as the centralized reference the distributed tester
-/// is measured against, and by tests as an independent exact-ish oracle.
+/// is measured against (the registry's "color_coding"), and by tests as an
+/// independent exact-ish oracle (find_cycle_color_coding).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -47,5 +49,17 @@ struct ColorCodingResult {
 
 /// Number of iterations for failure probability delta.
 [[nodiscard]] std::size_t color_coding_iterations(unsigned k, double delta) noexcept;
+
+/// The registry's centralized reference: reads sim.graph() only, so any
+/// communication model serves and RunStats stay zero. repetitions = the
+/// coloring budget (0 = auto); counter iterations_total = colorings run.
+class ColorCodingDetector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "color_coding"; }
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] std::span<const core::CounterDef> counters() const noexcept override;
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override;
+};
 
 }  // namespace decycle::baselines

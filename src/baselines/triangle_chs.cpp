@@ -4,8 +4,8 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <string>
 
-#include "core/witness.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -21,6 +21,7 @@ using congest::MessageWriter;
 using graph::NodeId;
 
 constexpr std::uint64_t kTagQuery = 1;
+constexpr std::size_t kDefaultIterations = 64;
 
 /// Two rounds per iteration: even rounds send queries, odd rounds answer
 /// them locally (the answerer knows its neighbor IDs, so detection happens
@@ -82,38 +83,33 @@ class TriangleProgram final : public congest::NodeProgram {
 
 }  // namespace
 
-TriangleVerdict test_triangle_freeness_chs(const graph::Graph& g, const graph::IdAssignment& ids,
-                                           const TriangleTesterOptions& options) {
-  congest::Simulator sim(g, ids);
-  return test_triangle_freeness_chs(sim, options);
+const core::DetectorCapabilities& TriangleDetector::capabilities() const noexcept {
+  static constexpr core::DetectorCapabilities caps{
+      .min_k = 3,
+      .max_k = 3,
+      .summary = "CHS-style triangle tester [7]: random neighbor-pair adjacency "
+                 "queries against the KT1 neighbor table"};
+  return caps;
 }
 
-TriangleVerdict test_triangle_freeness_chs(congest::Simulator& sim,
-                                           const TriangleTesterOptions& options) {
-  const graph::Graph& g = sim.graph();
+core::Verdict TriangleDetector::run(congest::Simulator& sim,
+                                    const core::DetectorOptions& options) const {
+  DECYCLE_CHECK_MSG(options.k == 3, "detector 'triangle' supports k=3 only, got k=" +
+                                        std::to_string(options.k));
   const graph::IdAssignment& ids = sim.ids();
+  core::Verdict verdict;
+  verdict.repetitions = options.repetitions != 0 ? options.repetitions : kDefaultIterations;
   sim.reset([&](graph::Vertex v) {
-    return std::make_unique<TriangleProgram>(options.iterations, options.seed, ids.id_of(v));
+    return std::make_unique<TriangleProgram>(verdict.repetitions, options.seed, ids.id_of(v));
   });
-  congest::Simulator::Options sim_options;
-  sim_options.max_rounds = options.iterations + 2;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  TriangleVerdict verdict;
-  verdict.stats = sim.run(sim_options);
+  verdict.stats = sim.run(core::simulator_options(options, verdict.repetitions + 2));
 
-  sim.for_each_program<TriangleProgram>([&](graph::Vertex vert, const TriangleProgram& prog) {
-    (void)vert;
+  sim.for_each_program<TriangleProgram>([&](graph::Vertex, const TriangleProgram& prog) {
     if (!prog.triangle()) return;
     verdict.accepted = false;
     verdict.rejecting_nodes += 1;
     if (verdict.witness.empty()) {
-      const auto& tri = *prog.triangle();
-      if (options.validate_witnesses) {
-        verdict.witness = core::validated_witness_vertices(g, ids, std::span(tri.data(), 3));
-      } else {
-        for (const NodeId id : tri) verdict.witness.push_back(ids.vertex_of(id));
-      }
+      verdict.witness = core::witness_vertices(sim, options, *prog.triangle());
     }
   });
   return verdict;

@@ -10,41 +10,20 @@
 /// probability >= 2/deg(v)², giving the O(1/ε²)-round behaviour of [7].
 ///
 /// This baseline exists for experiment B1: the paper's algorithm at k=3
-/// versus the specialized tester it generalizes.
+/// versus the specialized tester it generalizes. It runs as the registry's
+/// "triangle" (k = 3 only; repetitions = iterations, default 64).
 #pragma once
 
-#include <cstdint>
-
-#include "congest/simulator.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
-#include "util/rng.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::baselines {
 
-struct TriangleTesterOptions {
-  std::size_t iterations = 64;
-  std::uint64_t seed = 1;
-  bool validate_witnesses = true;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
+class TriangleDetector final : public core::Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "triangle"; }
+  [[nodiscard]] const core::DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] core::Verdict run(congest::Simulator& sim,
+                                  const core::DetectorOptions& options) const override;
 };
-
-struct TriangleVerdict {
-  bool accepted = true;
-  std::size_t rejecting_nodes = 0;
-  std::vector<graph::Vertex> witness;  ///< a validated triangle when rejected
-  congest::RunStats stats;
-};
-
-[[nodiscard]] TriangleVerdict test_triangle_freeness_chs(const graph::Graph& g,
-                                                         const graph::IdAssignment& ids,
-                                                         const TriangleTesterOptions& options);
-
-/// Same, but on an existing Simulator for the topology (reset + run — the
-/// reuse contract: bit-identical to the fresh-build overload). This is how
-/// the detector registry drives the baseline from reused lab lanes.
-[[nodiscard]] TriangleVerdict test_triangle_freeness_chs(congest::Simulator& sim,
-                                                         const TriangleTesterOptions& options);
 
 }  // namespace decycle::baselines

@@ -74,14 +74,7 @@ class Simulator {
   /// requires it to be a pure function of its arguments.
   using DropFilter = std::function<bool(std::uint64_t round, Vertex from, Vertex to)>;
 
-  /// Run options. The struct stays an aggregate — designated/aggregate
-  /// initialization (`run({.max_rounds = 8})`) keeps working — and the
-  /// `with_*` builders below are the fluent alternative for call sites that
-  /// set several knobs: each mutates in place and returns *this, so they
-  /// chain on lvalues and temporaries alike
-  /// (`sim.run(Options{}.with_pool(&pool).with_drop(filter))`). Both styles
-  /// configure the same public fields; mixing them is well-defined (last
-  /// write wins).
+  /// Run options (an aggregate: `run({.max_rounds = 8})`).
   struct Options {
     std::uint64_t max_rounds = 1'000'000;  ///< safety cap
     bool record_rounds = false;            ///< keep per-round stats (for T3/T5)
@@ -89,31 +82,6 @@ class Simulator {
     std::size_t parallel_threshold = 256;  ///< min active nodes / messages to go parallel
     DropFilter drop;                       ///< optional message-loss adversary
     DeliveryMode delivery = DeliveryMode::kArena;
-
-    Options& with_max_rounds(std::uint64_t v) {
-      max_rounds = v;
-      return *this;
-    }
-    Options& with_record_rounds(bool v = true) {
-      record_rounds = v;
-      return *this;
-    }
-    Options& with_pool(util::ThreadPool* p) {
-      pool = p;
-      return *this;
-    }
-    Options& with_parallel_threshold(std::size_t v) {
-      parallel_threshold = v;
-      return *this;
-    }
-    Options& with_drop(DropFilter f) {
-      drop = std::move(f);
-      return *this;
-    }
-    Options& with_delivery(DeliveryMode m) {
-      delivery = m;
-      return *this;
-    }
   };
 
   /// Constructs under \p model: the model decides the communication

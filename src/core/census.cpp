@@ -1,6 +1,9 @@
 #include "core/census.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace decycle::core {
 
@@ -9,22 +12,27 @@ CensusResult cycle_census(const graph::Graph& g, const graph::IdAssignment& ids,
   DECYCLE_CHECK_MSG(options.k_min >= 3, "census k_min must be at least 3");
   DECYCLE_CHECK_MSG(options.k_min <= options.k_max, "census range is empty");
 
+  // One Simulator serves every k: the tester resets it with fresh
+  // programs, which is bit-identical to a fresh build per k.
+  const Detector& tester = DetectorRegistry::builtin().require("tester");
+  congest::Simulator sim(g, ids);
+  DetectorOptions topt;
+  topt.epsilon = options.epsilon;
+  topt.repetitions = options.repetitions;
+  topt.detect = options.detect;
+  topt.pool = options.pool;
+
   CensusResult out;
   out.entries.reserve(options.k_max - options.k_min + 1);
   for (unsigned k = options.k_min; k <= options.k_max; ++k) {
-    TesterOptions topt;
     topt.k = k;
-    topt.epsilon = options.epsilon;
-    topt.repetitions = options.repetitions;
-    topt.detect = options.detect;
-    topt.pool = options.pool;
     topt.seed = util::splitmix64(options.seed ^ util::splitmix64(k));
-    const TestVerdict verdict = test_ck_freeness(g, ids, topt);
+    Verdict verdict = tester.run(sim, topt);
 
     CensusEntry entry;
     entry.k = k;
     entry.accepted = verdict.accepted;
-    entry.witness = verdict.witness;
+    entry.witness = std::move(verdict.witness);
     entry.rounds = verdict.stats.rounds_executed;
     entry.messages = verdict.stats.total_messages;
     entry.bits = verdict.stats.total_bits;

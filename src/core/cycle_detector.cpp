@@ -1,10 +1,18 @@
 #include "core/cycle_detector.hpp"
 
+#include <algorithm>
+
 #include "core/wire.hpp"
-#include "core/witness.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace decycle::core {
+
+namespace {
+/// Seed-stream tag for the target edge drawn when DetectorOptions::edge is
+/// absent — the stream lab edge_checker cells have always used.
+constexpr std::uint64_t kEdgeTag = 0x656467655f5f5f31ULL;  // "edge___1"
+}  // namespace
 
 void EdgeCheckProgram::on_round(congest::Context& ctx, std::span<const congest::Envelope> inbox) {
   const std::uint64_t g = ctx.round();
@@ -27,58 +35,58 @@ void EdgeCheckProgram::on_round(congest::Context& ctx, std::span<const congest::
   }
 }
 
-EdgeDetectionResult detect_cycle_through_edge(const graph::Graph& g,
-                                              const graph::IdAssignment& ids, graph::Edge e,
-                                              const EdgeDetectionOptions& options) {
-  // Validate before paying the O(m) reverse-port-table construction.
-  DECYCLE_CHECK_MSG(g.has_edge(e.first, e.second), "edge to check is not in the graph");
-  congest::Simulator sim(g, ids);
-  return detect_cycle_through_edge(sim, e, options);
+const DetectorCapabilities& EdgeCheckerDetector::capabilities() const noexcept {
+  static constexpr DetectorCapabilities caps{
+      .min_k = 3,
+      .max_k = 64,
+      .has_repetitions = false,
+      .draws_edge = true,
+      .summary = "deterministic single-edge checker (Phase 2 in isolation): "
+                 "is there a Ck through the target edge?"};
+  return caps;
 }
 
-EdgeDetectionResult detect_cycle_through_edge(congest::Simulator& sim, graph::Edge e,
-                                              const EdgeDetectionOptions& options) {
+Verdict EdgeCheckerDetector::run(congest::Simulator& sim, const DetectorOptions& options) const {
   const graph::Graph& g = sim.graph();
   const graph::IdAssignment& ids = sim.ids();
-  DECYCLE_CHECK_MSG(g.has_edge(e.first, e.second), "edge to check is not in the graph");
-  const NodeId u = ids.id_of(e.first);
-  const NodeId v = ids.id_of(e.second);
+  graph::Edge target;
+  if (options.edge.has_value()) {
+    target = *options.edge;
+    DECYCLE_CHECK_MSG(g.has_edge(target.first, target.second),
+                      "edge to check is not in the graph");
+  } else {
+    DECYCLE_CHECK_MSG(g.num_edges() > 0,
+                      "edge_checker ran on an edgeless instance — nothing to draw a "
+                      "target edge from");
+    util::Rng erng(util::splitmix64(options.seed ^ kEdgeTag));
+    target = g.edge(static_cast<graph::EdgeId>(erng.next_below(g.num_edges())));
+  }
+  const NodeId u = ids.id_of(target.first);
+  const NodeId v = ids.id_of(target.second);
   DetectParams params = options.detect;
+  params.k = options.k;
 
   sim.reset([&](graph::Vertex vert) {
     return std::make_unique<EdgeCheckProgram>(params, ids.id_of(vert), u, v);
   });
+  // ⌊k/2⌋+1 rounds suffice; the cap leaves a margin for safety.
+  Verdict verdict;
+  verdict.stats = sim.run(simulator_options(options, params.k + 2));
+  verdict.truncated = !verdict.stats.halted;
 
-  congest::Simulator::Options sim_options;
-  sim_options.pool = options.pool;
-  sim_options.record_rounds = options.record_rounds;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
-  sim_options.max_rounds = params.k + 2;  // ⌊k/2⌋+1 rounds suffice; margin for safety
-  EdgeDetectionResult result;
-  result.stats = sim.run(sim_options);
-
-  result.max_bundle_by_round.assign(params.k / 2 + 1, 0);
-  sim.for_each_program<EdgeCheckProgram>([&](graph::Vertex vert, const EdgeCheckProgram& prog) {
+  sim.for_each_program<EdgeCheckProgram>([&](graph::Vertex, const EdgeCheckProgram& prog) {
     const EdgeDetectState& state = prog.state();
-    result.overflow = result.overflow || state.overflowed();
-    const auto counts = state.sent_counts();
-    for (std::size_t round = 0; round < counts.size(); ++round) {
-      result.max_bundle_sequences = std::max(result.max_bundle_sequences, counts[round]);
-      result.max_bundle_by_round[round] = std::max(result.max_bundle_by_round[round], counts[round]);
+    verdict.overflow = verdict.overflow || state.overflowed();
+    for (const std::size_t count : state.sent_counts()) {
+      verdict.max_bundle_sequences = std::max(verdict.max_bundle_sequences, count);
     }
-    if (!result.found && state.rejected()) {
-      result.found = true;
-      result.rejecting_vertex = vert;
-      const auto cycle_ids = state.witness_cycle_ids();
-      if (options.validate_witness) {
-        result.witness = validated_witness_vertices(g, ids, cycle_ids);
-      } else {
-        for (const NodeId id : cycle_ids) result.witness.push_back(ids.vertex_of(id));
-      }
+    if (verdict.accepted && state.rejected()) {
+      verdict.accepted = false;
+      verdict.rejecting_nodes = 1;
+      verdict.witness = witness_vertices(sim, options, state.witness_cycle_ids());
     }
   });
-  return result;
+  return verdict;
 }
 
 }  // namespace decycle::core

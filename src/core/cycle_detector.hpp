@@ -7,14 +7,16 @@
 /// and every rejection carries a validated witness cycle. Experiment T4
 /// sweeps this checker against the exact oracle over every edge of random
 /// graphs.
+///
+/// EdgeCheckerDetector is the registry's "edge_checker". Per-node
+/// instrumentation (EdgeDetectState::sent_counts(), the Lemma-3 bundle
+/// sizes per round) stays readable after a run through
+/// Simulator::for_each_program<EdgeCheckProgram>.
 #pragma once
-
-#include <optional>
 
 #include "congest/simulator.hpp"
 #include "core/detect_state.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
+#include "core/detector.hpp"
 
 namespace decycle::core {
 
@@ -34,38 +36,15 @@ class EdgeCheckProgram final : public congest::NodeProgram {
   EdgeDetectState state_;
 };
 
-struct EdgeDetectionResult {
-  bool found = false;
-  std::vector<graph::Vertex> witness;  ///< validated k-cycle (empty if !found)
-  graph::Vertex rejecting_vertex = graph::kInvalidVertex;
-  bool overflow = false;               ///< naive pruning hit its cap
-  std::size_t max_bundle_sequences = 0;  ///< max |S| in any broadcast (Lemma 3)
-  /// max |S| per phase round g (index 0 = seeds), across all nodes.
-  std::vector<std::size_t> max_bundle_by_round;
-  congest::RunStats stats;
+/// Lemma 2's deterministic checker for one edge: options.edge, or an edge
+/// drawn uniformly from the seed when absent. Reads k and detect; rejects
+/// iff some node's final check fired (exact on loss-free runs).
+class EdgeCheckerDetector final : public Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "edge_checker"; }
+  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] Verdict run(congest::Simulator& sim,
+                            const DetectorOptions& options) const override;
 };
-
-struct EdgeDetectionOptions {
-  DetectParams detect;
-  util::ThreadPool* pool = nullptr;
-  bool record_rounds = false;
-  bool validate_witness = true;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-/// Runs the checker for edge \p e on the CONGEST simulator and aggregates
-/// the per-node verdicts. \p e must be an edge of \p g.
-[[nodiscard]] EdgeDetectionResult detect_cycle_through_edge(const graph::Graph& g,
-                                                            const graph::IdAssignment& ids,
-                                                            graph::Edge e,
-                                                            const EdgeDetectionOptions& options);
-
-/// Same, but on an existing Simulator for the topology: resets it with
-/// checker programs and runs. Sweeping many edges of one graph (T4-style
-/// scans, lab edge-checker cells) reuses the CSR table and arenas; the
-/// result is bit-identical to the fresh-build overload.
-[[nodiscard]] EdgeDetectionResult detect_cycle_through_edge(congest::Simulator& sim, graph::Edge e,
-                                                            const EdgeDetectionOptions& options);
 
 }  // namespace decycle::core

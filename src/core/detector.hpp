@@ -1,32 +1,34 @@
 /// \file detector.hpp
-/// \brief The unified detection-algorithm interface and registry.
+/// \brief The one way to run a detection algorithm: the Detector interface
+/// and its registry.
 ///
 /// The paper's experiments are head-to-head comparisons: Theorem 1's tester
 /// against the specialized baselines it generalizes (the FRST C4 tester
 /// whose technique fails for k >= 5, the CHS triangle tester), against the
-/// threshold family, and against centralized references. Historically every
-/// algorithm exposed a bespoke entry point with its own Options/Verdict
-/// structs, so each consumer (lab runner, harness, benches, cross-tests)
-/// grew an if-chain per algorithm and the baselines were unreachable from
-/// the scenario matrix entirely.
-///
-/// This module makes every algorithm a first-class citizen behind one
-/// interface:
+/// threshold family, and against centralized references. Every algorithm is
+/// reached through the same three types:
 ///
 ///   * `Detector` — name(), capabilities() (supported k range, which knobs
 ///     apply, whether it is distributed and honors the Simulator-reuse
 ///     contract), a typed counter table for algo-specific instrumentation,
-///     and run(Simulator&, DetectorOptions) -> Verdict;
+///     and run(Simulator&, DetectorOptions) -> Verdict. run() holds the
+///     algorithm's whole driver: reset the simulator with its node
+///     programs, run, and fold the programs' outputs into the Verdict;
+///   * `DetectorOptions` — the single options type; each detector reads the
+///     subset its capabilities advertise;
 ///   * `Verdict` — one result surface: accepted/witness/truncated/RunStats
 ///     plus the counter values aligned with the detector's counter table.
-///     The witness is always a validated cycle in *topology vertices*
-///     (graph::Vertex); NodeId stays an implementation detail of the node
-///     programs (see witness.hpp for the validation step that converts);
-///   * `DetectorRegistry` — the fixed-order collection of built-in
-///     detectors (tester, edge_checker, threshold, c4, triangle,
-///     color_coding, clique_hcycle) that consumers iterate or look up by
-///     name. Adding an algorithm is one registration, not edits to five
-///     layers.
+///     The witness is always a cycle in *topology vertices* (graph::Vertex);
+///     NodeId stays an implementation detail of the node programs
+///     (witness_vertices() below converts and validates).
+///
+/// `DetectorRegistry::builtin()` holds the built-in detectors (tester,
+/// edge_checker, threshold, c4, triangle, color_coding, clique_hcycle) in
+/// fixed order; consumers iterate it or look one up with require(name).
+/// Each detector class lives beside its node program (core/tester.hpp,
+/// core/cycle_detector.hpp, core/threshold/threshold_tester.hpp,
+/// baselines/*.hpp). Adding an algorithm is one Detector class plus one
+/// registration line in DetectorRegistry::builtin().
 ///
 /// Determinism contract: run() must be a pure function of (topology, ids,
 /// options) — bit-identical across thread counts and across the
@@ -44,6 +46,7 @@
 
 #include "congest/comm_model.hpp"
 #include "congest/simulator.hpp"
+#include "core/detect_state.hpp"
 #include "core/threshold/budget.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
@@ -131,7 +134,12 @@ struct DetectorOptions {
   /// Target edge for draws_edge detectors; when absent one is drawn
   /// uniformly from a stream derived from \p seed.
   std::optional<graph::Edge> edge;
+  /// Phase-2 ablations (pruning mode, naive cap, fake IDs, trace sink) for
+  /// the detectors built on Algorithm 1's Phase 2 (tester, edge_checker,
+  /// threshold). detect.k is ignored: \p k is the cycle length.
+  DetectParams detect;
   bool validate_witnesses = true;  ///< 1-sided-error enforcement (witness.hpp)
+  bool record_rounds = false;      ///< keep per-round RunStats (RunStats::rounds)
   util::ThreadPool* pool = nullptr;
   congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
   congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
@@ -182,7 +190,25 @@ class Detector {
   /// default_comm_model(capabilities()) and runs.
   [[nodiscard]] Verdict run_fresh(const graph::Graph& g, const graph::IdAssignment& ids,
                                   const DetectorOptions& options) const;
+
+  /// The value of counter \p name in \p v (a verdict this detector
+  /// returned). Throws CheckError when the counter table has no such name.
+  [[nodiscard]] std::uint64_t counter(const Verdict& v, std::string_view name) const;
 };
+
+/// The Simulator::Options a distributed detector runs with: \p options'
+/// pool, drop adversary, delivery mode and record_rounds, under the
+/// detector's own round cap \p max_rounds.
+[[nodiscard]] congest::Simulator::Options simulator_options(const DetectorOptions& options,
+                                                            std::uint64_t max_rounds);
+
+/// A node program's witness cycle \p cycle_ids as topology vertices of
+/// \p sim — validated edge-by-edge against the input graph (throwing on a
+/// bogus cycle) when options.validate_witnesses is set, mapped as-is
+/// otherwise.
+[[nodiscard]] std::vector<graph::Vertex> witness_vertices(const congest::Simulator& sim,
+                                                          const DetectorOptions& options,
+                                                          std::span<const graph::NodeId> cycle_ids);
 
 /// One human-readable capability line for \p d: k range, knobs, execution
 /// model — what `decycle_lab --list-algos` prints, so the CLI can never lie

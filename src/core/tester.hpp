@@ -17,6 +17,8 @@
 /// amplification); a node's final output is reject iff any repetition's
 /// final check fired. Every rejection is validated against the graph — the
 /// tester cannot report a cycle that does not exist (1-sided error).
+///
+/// TesterDetector is the registry's "tester": the only way to run it.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +26,9 @@
 
 #include "congest/simulator.hpp"
 #include "core/detect_state.hpp"
+#include "core/detector.hpp"
 #include "core/phase1.hpp"
-#include "graph/graph.hpp"
 #include "graph/ids.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace decycle::core {
 
@@ -42,7 +42,6 @@ class TesterProgram final : public congest::NodeProgram {
 
   [[nodiscard]] bool rejected() const noexcept { return !witness_ids_.empty(); }
   [[nodiscard]] const std::vector<NodeId>& witness_ids() const noexcept { return witness_ids_; }
-  [[nodiscard]] std::size_t rejecting_repetition() const noexcept { return reject_rep_; }
   [[nodiscard]] bool overflowed() const noexcept { return overflow_; }
   [[nodiscard]] std::size_t switches() const noexcept { return switches_; }
   [[nodiscard]] std::size_t discarded_messages() const noexcept { return discarded_; }
@@ -73,7 +72,6 @@ class TesterProgram final : public congest::NodeProgram {
 
   // Outputs / instrumentation.
   std::vector<NodeId> witness_ids_;
-  std::size_t reject_rep_ = 0;
   bool overflow_ = false;
   std::size_t switches_ = 0;
   std::size_t discarded_ = 0;
@@ -83,46 +81,16 @@ class TesterProgram final : public congest::NodeProgram {
 static_assert(sizeof(TesterProgram) <= 392,
               "TesterProgram grew; cached sessions keep one per node");
 
-struct TesterOptions {
-  unsigned k = 5;
-  double epsilon = 0.1;
-  std::uint64_t seed = 1;
-  /// 0 = use recommended_repetitions(epsilon).
-  std::size_t repetitions = 0;
-  DetectParams detect;  ///< k field is overwritten with TesterOptions::k
-  bool validate_witnesses = true;
-  bool record_rounds = false;
-  util::ThreadPool* pool = nullptr;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
+/// Theorem 1's amplified tester. Reads k, epsilon (or repetitions), seed
+/// and detect; counters: switches_total, discarded_total (priority
+/// switches and discarded lower-priority messages, summed over nodes).
+class TesterDetector final : public Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "tester"; }
+  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override;
+  [[nodiscard]] Verdict run(congest::Simulator& sim,
+                            const DetectorOptions& options) const override;
 };
-
-struct TestVerdict {
-  bool accepted = true;                 ///< all nodes accepted in all repetitions
-  std::size_t rejecting_nodes = 0;
-  std::vector<graph::Vertex> witness;   ///< validated cycle when rejected
-  std::size_t repetitions = 0;
-  bool overflow = false;
-  /// True when the run hit the internal max_rounds cap instead of
-  /// quiescing — i.e. the final repetition's Phase 2 was cut short and the
-  /// verdict under-reports detections. The cap is derived from
-  /// (repetitions, k) with slack, so this firing indicates a bound bug;
-  /// tests assert it stays false at the boundary (reps = 1, large k).
-  bool truncated = false;
-  std::size_t max_bundle_sequences = 0;
-  std::size_t total_switches = 0;
-  std::size_t total_discarded = 0;
-  congest::RunStats stats;
-};
-
-/// Runs the full tester on the simulator and aggregates node outputs.
-[[nodiscard]] TestVerdict test_ck_freeness(const graph::Graph& g, const graph::IdAssignment& ids,
-                                           const TesterOptions& options);
-
-/// Same, but on an existing Simulator for \p sim's topology: resets it with
-/// tester programs and runs. Reusing one Simulator across trials on a fixed
-/// topology (estimator workloads) skips the per-trial CSR table build and
-/// arena warm-up; the verdict is bit-identical to the fresh-build overload.
-[[nodiscard]] TestVerdict test_ck_freeness(congest::Simulator& sim, const TesterOptions& options);
 
 }  // namespace decycle::core

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/wire.hpp"
-#include "core/witness.hpp"
 #include "util/check.hpp"
 
 namespace decycle::core::threshold {
@@ -198,7 +197,6 @@ void ThresholdProgram::bundle_round(congest::Context& ctx,
     overflow_ = overflow_ || ex.state.overflowed();
     if (g == half_ && ex.state.rejected() && witness_ids_.empty()) {
       witness_ids_ = ex.state.witness_cycle_ids();
-      reject_sweep_ = static_cast<std::size_t>(ctx.round() / sweep_len_);
     }
   }
   if (g < half_) broadcast_bundles(ctx, g);  // the final check sends nothing
@@ -241,74 +239,78 @@ void ThresholdProgram::broadcast_bundles(congest::Context& ctx, std::uint64_t g)
   }
 }
 
-ThresholdVerdict test_ck_freeness_threshold(const graph::Graph& g,
-                                            const graph::IdAssignment& ids,
-                                            const ThresholdOptions& options) {
-  DECYCLE_CHECK_MSG(options.k >= 3, "k must be at least 3");  // before the O(m) table build
-  congest::Simulator sim(g, ids);
-  return test_ck_freeness_threshold(sim, options);
+const DetectorCapabilities& ThresholdDetector::capabilities() const noexcept {
+  static constexpr DetectorCapabilities caps{
+      .min_k = 3,
+      .max_k = 64,
+      .uses_threshold_knobs = true,
+      .summary = "threshold family: Phase 2 for every edge in one sweep, congestion "
+                 "bounded by budget/track caps"};
+  return caps;
 }
 
-ThresholdVerdict test_ck_freeness_threshold(congest::Simulator& sim,
-                                            const ThresholdOptions& options) {
+std::span<const CounterDef> ThresholdDetector::counters() const noexcept {
+  // Names and order are the JSONL contract for algo=threshold cells.
+  static constexpr CounterDef defs[] = {
+      {"seeded_total", CounterKind::kSum},
+      {"seed_capped_total", CounterKind::kSum},
+      {"evictions_total", CounterKind::kSum},
+      {"discarded_seqs_total", CounterKind::kSum},
+      {"budget_truncated_total", CounterKind::kSum},
+      {"peak_tracked", CounterKind::kMax},
+  };
+  return defs;
+}
+
+Verdict ThresholdDetector::run(congest::Simulator& sim, const DetectorOptions& options) const {
   DECYCLE_CHECK_MSG(options.k >= 3, "k must be at least 3");
-  DECYCLE_CHECK_MSG(options.sweeps >= 1, "threshold tester needs at least one sweep");
   const graph::Graph& g = sim.graph();
   const graph::IdAssignment& ids = sim.ids();
 
-  ThresholdVerdict out;
-  TestVerdict& v = out.verdict;
-  v.repetitions = options.sweeps;
+  Verdict verdict;
+  const std::size_t sweeps = options.repetitions != 0 ? options.repetitions : 1;
+  verdict.repetitions = sweeps;
 
   DetectParams params = options.detect;
   params.k = options.k;
 
   sim.reset([&](graph::Vertex vert) {
     return std::make_unique<ThresholdProgram>(params, options.budget, options.max_tracked,
-                                              options.sweeps, options.seed, g.num_vertices(),
+                                              sweeps, options.seed, g.num_vertices(),
                                               ids.id_of(vert));
   });
 
-  congest::Simulator::Options sim_options;
-  sim_options.pool = options.pool;
-  sim_options.record_rounds = options.record_rounds;
-  sim_options.drop = options.drop;
-  sim_options.delivery = options.delivery;
   // Same shape as the tester's bound: sweeps full windows of ⌊k/2⌋+2
   // rounds (the last activity is the final-check round at offset
   // sweep_len-1), plus delivery slack.
-  sim_options.max_rounds =
-      options.sweeps * (static_cast<std::uint64_t>(options.k / 2) + 2) + 4;
-  v.stats = sim.run(sim_options);
-  v.truncated = !v.stats.halted;
+  verdict.stats = sim.run(
+      simulator_options(options, sweeps * (static_cast<std::uint64_t>(options.k / 2) + 2) + 4));
+  verdict.truncated = !verdict.stats.halted;
 
-  sim.for_each_program<ThresholdProgram>([&](graph::Vertex vert, const ThresholdProgram& prog) {
-    v.overflow = v.overflow || prog.overflowed();
-    v.total_switches += prog.stats().evictions;
-    v.total_discarded += prog.stats().discarded_sequences;
+  ThresholdStats total;
+  sim.for_each_program<ThresholdProgram>([&](graph::Vertex, const ThresholdProgram& prog) {
+    verdict.overflow = verdict.overflow || prog.overflowed();
     for (const std::size_t count : prog.max_sent_by_round()) {
-      v.max_bundle_sequences = std::max(v.max_bundle_sequences, count);
+      verdict.max_bundle_sequences = std::max(verdict.max_bundle_sequences, count);
     }
-    out.threshold.seeded_executions += prog.stats().seeded_executions;
-    out.threshold.seed_capped += prog.stats().seed_capped;
-    out.threshold.evictions += prog.stats().evictions;
-    out.threshold.discarded_sequences += prog.stats().discarded_sequences;
-    out.threshold.budget_truncated += prog.stats().budget_truncated;
-    out.threshold.peak_tracked = std::max(out.threshold.peak_tracked, prog.stats().peak_tracked);
+    const ThresholdStats& st = prog.stats();
+    total.seeded_executions += st.seeded_executions;
+    total.seed_capped += st.seed_capped;
+    total.evictions += st.evictions;
+    total.discarded_sequences += st.discarded_sequences;
+    total.budget_truncated += st.budget_truncated;
+    total.peak_tracked = std::max(total.peak_tracked, st.peak_tracked);
     if (prog.rejected()) {
-      v.accepted = false;
-      v.rejecting_nodes += 1;
-      if (v.witness.empty()) {
-        if (options.validate_witnesses) {
-          v.witness = validated_witness_vertices(g, ids, prog.witness_ids());
-        } else {
-          for (const NodeId id : prog.witness_ids()) v.witness.push_back(ids.vertex_of(id));
-        }
+      verdict.accepted = false;
+      verdict.rejecting_nodes += 1;
+      if (verdict.witness.empty()) {
+        verdict.witness = witness_vertices(sim, options, prog.witness_ids());
       }
     }
-    (void)vert;
   });
-  return out;
+  verdict.counters = {total.seeded_executions, total.seed_capped,         total.evictions,
+                      total.discarded_sequences, total.budget_truncated, total.peak_tracked};
+  return verdict;
 }
 
 }  // namespace decycle::core::threshold

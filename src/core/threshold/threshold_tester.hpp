@@ -27,6 +27,13 @@
 /// unlimited budgets (`BudgetSchedule::none()`, max_tracked = 0) one sweep
 /// is an exhaustive parallel edge scan and detection is deterministic —
 /// the regime the oracle cross-test pins against the exact DFS oracle.
+///
+/// ThresholdDetector is the registry's "threshold": DetectorOptions'
+/// repetitions are the sweeps (independent sweeps with fresh ranks;
+/// priorities reshuffle which executions survive the thresholds, so extra
+/// sweeps buy completeness back when the budgets bite — 0 means 1, which is
+/// exhaustive when budgets are off), budget the per-link schedule and
+/// max_tracked the per-node execution cap.
 #pragma once
 
 #include <cstdint>
@@ -34,48 +41,20 @@
 
 #include "congest/simulator.hpp"
 #include "core/detect_state.hpp"
+#include "core/detector.hpp"
 #include "core/phase1.hpp"
-#include "core/tester.hpp"
 #include "core/threshold/budget.hpp"
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
 
 namespace decycle::core::threshold {
 
-struct ThresholdOptions {
-  unsigned k = 5;
-  std::uint64_t seed = 1;
-  /// Independent sweeps with fresh ranks; priorities reshuffle which
-  /// executions survive the thresholds, so extra sweeps buy completeness
-  /// back when the budgets bite. 1 is exhaustive when budgets are off.
-  std::size_t sweeps = 1;
-  BudgetSchedule budget = BudgetSchedule::constant(16);
-  std::size_t max_tracked = 8;  ///< executions tracked per node; 0 = unlimited
-  DetectParams detect;          ///< k field is overwritten with ThresholdOptions::k
-  bool validate_witnesses = true;
-  bool record_rounds = false;
-  util::ThreadPool* pool = nullptr;
-  congest::Simulator::DropFilter drop;  ///< optional message-loss adversary
-  congest::DeliveryMode delivery = congest::DeliveryMode::kArena;
-};
-
-/// Budget/threshold instrumentation aggregated over all nodes and sweeps.
+/// One node's budget/threshold instrumentation, accumulated over sweeps.
 struct ThresholdStats {
   std::uint64_t seeded_executions = 0;   ///< executions seeded at an endpoint
   std::uint64_t seed_capped = 0;         ///< incident edges not seeded (tracking cap)
   std::uint64_t evictions = 0;           ///< executions evicted by higher priority
   std::uint64_t discarded_sequences = 0; ///< traffic for untracked executions
   std::uint64_t budget_truncated = 0;    ///< sequences cut by the link budget
-  std::size_t peak_tracked = 0;          ///< max concurrent executions at any node
-};
-
-/// The family's verdict: the same surface test_ck_freeness reports (witness
-/// extraction, Lemma-3 bundle instrumentation, run stats — `repetitions`
-/// holds the sweep count, `total_switches` the evictions and
-/// `total_discarded` the discarded sequences), plus the threshold counters.
-struct ThresholdVerdict {
-  TestVerdict verdict;
-  ThresholdStats threshold;
+  std::size_t peak_tracked = 0;          ///< max concurrent executions at this node
 };
 
 /// The per-node program. One instance per vertex; drives one EdgeDetectState
@@ -90,7 +69,6 @@ class ThresholdProgram final : public congest::NodeProgram {
 
   [[nodiscard]] bool rejected() const noexcept { return !witness_ids_.empty(); }
   [[nodiscard]] const std::vector<NodeId>& witness_ids() const noexcept { return witness_ids_; }
-  [[nodiscard]] std::size_t rejecting_sweep() const noexcept { return reject_sweep_; }
   [[nodiscard]] bool overflowed() const noexcept { return overflow_; }
   [[nodiscard]] const ThresholdStats& stats() const noexcept { return stats_; }
   /// max sequences in the merged bundle broadcast at phase round g
@@ -140,20 +118,22 @@ class ThresholdProgram final : public congest::NodeProgram {
 
   // Outputs / instrumentation.
   std::vector<NodeId> witness_ids_;
-  std::size_t reject_sweep_ = 0;
   bool overflow_ = false;
   ThresholdStats stats_;
   std::vector<std::size_t> max_sent_by_round_;
 };
 
-/// Runs the threshold family on a fresh simulator for \p g.
-[[nodiscard]] ThresholdVerdict test_ck_freeness_threshold(const graph::Graph& g,
-                                                          const graph::IdAssignment& ids,
-                                                          const ThresholdOptions& options);
-
-/// Same, but on an existing Simulator for the topology (reset(factory)
-/// reuse contract — bit-identical to the fresh-build overload).
-[[nodiscard]] ThresholdVerdict test_ck_freeness_threshold(congest::Simulator& sim,
-                                                          const ThresholdOptions& options);
+/// The threshold family behind the registry interface. Its counters are
+/// ThresholdStats summed over nodes (peak_tracked maxed), in the order
+/// seeded_total, seed_capped_total, evictions_total, discarded_seqs_total,
+/// budget_truncated_total, peak_tracked.
+class ThresholdDetector final : public Detector {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "threshold"; }
+  [[nodiscard]] const DetectorCapabilities& capabilities() const noexcept override;
+  [[nodiscard]] std::span<const CounterDef> counters() const noexcept override;
+  [[nodiscard]] Verdict run(congest::Simulator& sim,
+                            const DetectorOptions& options) const override;
+};
 
 }  // namespace decycle::core::threshold

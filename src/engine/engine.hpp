@@ -2,11 +2,10 @@
 /// \brief DetectionEngine: one batched query-execution substrate for every
 /// consumer.
 ///
-/// Before this layer, three subsystems each owned a private copy of the
-/// same machinery — lane ranges, per-lane Simulator reuse, indexed result
-/// slots, serial reduction: harness::estimate_rate_lanes, the lab runner's
-/// per-worker lanes, and the soak campaign's batched slots. DetectionEngine
-/// is the single implementation (DESIGN.md §12):
+/// The lab runner, the soak campaign, the serving daemon and the harness
+/// estimator (estimate_detector_rate) share one implementation of lane
+/// ranges, per-lane Simulator reuse, indexed result slots and serial
+/// reduction (DESIGN.md §12):
 ///
 ///   * a GraphStore of content-addressed pinned graphs with mutation epochs;
 ///   * a SessionPool caching Simulators behind lane-confined leases;
@@ -114,10 +113,8 @@ class DetectionEngine {
 [[nodiscard]] std::vector<std::uint64_t> reduce_counters(const core::Detector& d,
                                                          std::span<const core::Verdict> verdicts);
 
-/// Process-wide engine for harness conveniences (detector_lanes): lazily
-/// constructed, no pool (callers pass their own parallelism), default
-/// session capacity. Cached sessions persist across estimate calls on the
-/// same topology — the cold-vs-warm gap bench/m8_engine_micro measures.
+/// Process-wide engine: lazily constructed, no pool, default session
+/// capacity. Cached sessions persist across calls on the same topology.
 [[nodiscard]] DetectionEngine& shared_engine();
 
 }  // namespace decycle::engine

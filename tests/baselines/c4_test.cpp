@@ -13,12 +13,15 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
+const core::Detector& detector() { return core::DetectorRegistry::builtin().require("c4"); }
+
 TEST(C4Frst, FindsC4InFourCycle) {
   const Graph g = graph::cycle(4);
   const IdAssignment ids = IdAssignment::identity(4);
-  C4TesterOptions opt;
-  opt.iterations = 16;
-  const auto verdict = test_c4_freeness_frst(g, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 4;
+  opt.repetitions = 16;
+  const auto verdict = detector().run_fresh(g, ids, opt);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_EQ(verdict.witness.size(), 4u);
   EXPECT_TRUE(graph::validate_cycle(g, verdict.witness));
@@ -29,19 +32,21 @@ TEST(C4Frst, SoundOnC4FreeGraphs) {
   for (int trial = 0; trial < 5; ++trial) {
     const Graph g = graph::high_girth_graph(40, 60, 4, rng);  // girth > 4
     const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-    C4TesterOptions opt;
-    opt.iterations = 64;
+    core::DetectorOptions opt;
+    opt.k = 4;
+    opt.repetitions = 64;
     opt.seed = 50 + static_cast<std::uint64_t>(trial);
-    EXPECT_TRUE(test_c4_freeness_frst(g, ids, opt).accepted);
+    EXPECT_TRUE(detector().run_fresh(g, ids, opt).accepted);
   }
 }
 
 TEST(C4Frst, TriangleFreeButC4RichDetected) {
   const Graph g = graph::complete_bipartite(6, 6);  // many C4s, no triangles
   const IdAssignment ids = IdAssignment::identity(12);
-  C4TesterOptions opt;
-  opt.iterations = 64;
-  const auto verdict = test_c4_freeness_frst(g, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 4;
+  opt.repetitions = 64;
+  const auto verdict = detector().run_fresh(g, ids, opt);
   EXPECT_FALSE(verdict.accepted);
 }
 
@@ -52,9 +57,10 @@ TEST(C4Frst, DetectsPlantedC4s) {
   popt.num_cycles = 8;
   const auto inst = graph::planted_cycles_instance(popt, rng);
   const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
-  C4TesterOptions opt;
-  opt.iterations = 128;
-  const auto verdict = test_c4_freeness_frst(inst.graph, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 4;
+  opt.repetitions = 128;
+  const auto verdict = detector().run_fresh(inst.graph, ids, opt);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
 }
@@ -62,9 +68,10 @@ TEST(C4Frst, DetectsPlantedC4s) {
 TEST(C4Frst, OneRoundPerIteration) {
   const Graph g = graph::cycle(4);
   const IdAssignment ids = IdAssignment::identity(4);
-  C4TesterOptions opt;
-  opt.iterations = 10;
-  const auto verdict = test_c4_freeness_frst(g, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 4;
+  opt.repetitions = 10;
+  const auto verdict = detector().run_fresh(g, ids, opt);
   EXPECT_LE(verdict.stats.rounds_executed, 12u);
 }
 

@@ -13,12 +13,15 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 
+const core::Detector& detector() { return core::DetectorRegistry::builtin().require("triangle"); }
+
 TEST(TriangleChs, FindsTriangleInK3) {
   const Graph g = graph::complete(3);
   const IdAssignment ids = IdAssignment::identity(3);
-  TriangleTesterOptions opt;
-  opt.iterations = 8;
-  const auto verdict = test_triangle_freeness_chs(g, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 3;
+  opt.repetitions = 8;
+  const auto verdict = detector().run_fresh(g, ids, opt);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_EQ(verdict.witness.size(), 3u);
   EXPECT_TRUE(graph::validate_cycle(g, verdict.witness));
@@ -29,19 +32,21 @@ TEST(TriangleChs, SoundOnTriangleFreeGraphs) {
   for (int trial = 0; trial < 5; ++trial) {
     const Graph g = graph::random_bipartite(15, 15, 60, rng);  // bipartite: no triangles
     const IdAssignment ids = IdAssignment::identity(g.num_vertices());
-    TriangleTesterOptions opt;
-    opt.iterations = 64;
+    core::DetectorOptions opt;
+    opt.k = 3;
+    opt.repetitions = 64;
     opt.seed = 100 + static_cast<std::uint64_t>(trial);
-    EXPECT_TRUE(test_triangle_freeness_chs(g, ids, opt).accepted);
+    EXPECT_TRUE(detector().run_fresh(g, ids, opt).accepted);
   }
 }
 
 TEST(TriangleChs, DetectsDenseTriangleInstances) {
   const Graph g = graph::complete(12);
   const IdAssignment ids = IdAssignment::identity(12);
-  TriangleTesterOptions opt;
-  opt.iterations = 32;
-  const auto verdict = test_triangle_freeness_chs(g, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 3;
+  opt.repetitions = 32;
+  const auto verdict = detector().run_fresh(g, ids, opt);
   EXPECT_FALSE(verdict.accepted);
 }
 
@@ -52,9 +57,10 @@ TEST(TriangleChs, DetectsPlantedTrianglesWithEnoughIterations) {
   popt.num_cycles = 10;
   const auto inst = graph::planted_cycles_instance(popt, rng);
   const IdAssignment ids = IdAssignment::identity(inst.graph.num_vertices());
-  TriangleTesterOptions opt;
-  opt.iterations = 128;  // planted nodes have degree <= 3: detection is easy
-  const auto verdict = test_triangle_freeness_chs(inst.graph, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 3;
+  opt.repetitions = 128;  // planted nodes have degree <= 3: detection is easy
+  const auto verdict = detector().run_fresh(inst.graph, ids, opt);
   EXPECT_FALSE(verdict.accepted);
   EXPECT_TRUE(graph::validate_cycle(inst.graph, verdict.witness));
 }
@@ -62,18 +68,20 @@ TEST(TriangleChs, DetectsPlantedTrianglesWithEnoughIterations) {
 TEST(TriangleChs, RoundsScaleWithIterations) {
   const Graph g = graph::complete(4);
   const IdAssignment ids = IdAssignment::identity(4);
-  TriangleTesterOptions opt;
-  opt.iterations = 10;
-  const auto verdict = test_triangle_freeness_chs(g, ids, opt);
+  core::DetectorOptions opt;
+  opt.k = 3;
+  opt.repetitions = 10;
+  const auto verdict = detector().run_fresh(g, ids, opt);
   EXPECT_LE(verdict.stats.rounds_executed, 12u);
 }
 
 TEST(TriangleChs, HandlesLowDegreeGraphs) {
   const Graph g = graph::path(6);  // degrees < 2 at the ends
   const IdAssignment ids = IdAssignment::identity(6);
-  TriangleTesterOptions opt;
-  opt.iterations = 16;
-  EXPECT_TRUE(test_triangle_freeness_chs(g, ids, opt).accepted);
+  core::DetectorOptions opt;
+  opt.k = 3;
+  opt.repetitions = 16;
+  EXPECT_TRUE(detector().run_fresh(g, ids, opt).accepted);
 }
 
 }  // namespace

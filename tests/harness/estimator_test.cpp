@@ -69,50 +69,5 @@ TEST(Estimator, ZeroTrials) {
   EXPECT_EQ(est.successes, 0u);
 }
 
-TEST(Estimator, LanesSerialFallbackMatchesPooledAndUnlaned) {
-  // The laned estimator without a pool must fall back to one serial lane —
-  // never touch a pool pointer — and produce the same estimate as the
-  // pooled run and the unlaned overload (shared trial_seed derivation).
-  const auto trial = [](std::size_t, std::uint64_t seed) {
-    util::Rng rng(seed);
-    return rng.next_bool(0.4);
-  };
-  const LaneFactory make_lane = [&](std::size_t) { return TrialFn(trial); };
-  const auto serial = estimate_rate_lanes(make_lane, 300, 77, nullptr);
-  util::ThreadPool pool(4);
-  const auto pooled = estimate_rate_lanes(make_lane, 300, 77, &pool);
-  const auto unlaned = estimate_rate(trial, 300, 77);
-  EXPECT_EQ(serial.successes, pooled.successes);
-  EXPECT_EQ(serial.successes, unlaned.successes);
-  EXPECT_EQ(serial.trials, 300u);
-}
-
-TEST(Estimator, LanesZeroTrialsSkipsLaneConstruction) {
-  // trials == 0 must not build per-lane state (lanes can own a Simulator)
-  // and must report the empty Wilson interval, with or without a pool.
-  std::size_t lanes_built = 0;
-  const LaneFactory make_lane = [&](std::size_t) {
-    ++lanes_built;
-    return TrialFn([](std::size_t, std::uint64_t) { return true; });
-  };
-  const auto serial = estimate_rate_lanes(make_lane, 0, 5, nullptr);
-  util::ThreadPool pool(2);
-  const auto pooled = estimate_rate_lanes(make_lane, 0, 5, &pool);
-  EXPECT_EQ(lanes_built, 0u);
-  for (const auto& est : {serial, pooled}) {
-    EXPECT_EQ(est.trials, 0u);
-    EXPECT_EQ(est.successes, 0u);
-    EXPECT_EQ(est.interval.low, 0.0);
-    EXPECT_EQ(est.interval.high, 1.0);
-  }
-}
-
-TEST(Estimator, LanesCountPolicy) {
-  EXPECT_EQ(lane_count(nullptr, 100), 1u);  // no pool: always one lane
-  util::ThreadPool pool(3);
-  EXPECT_EQ(lane_count(&pool, 100), 3u);
-  EXPECT_EQ(lane_count(&pool, 2), 2u);  // never more lanes than trials
-}
-
 }  // namespace
 }  // namespace decycle::harness

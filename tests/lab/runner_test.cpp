@@ -46,8 +46,8 @@ TEST(LabRunner, ByteIdenticalAcrossThreadsAndReuse) {
 
 /// Registry dispatch determinism for the baseline algorithms at their fixed
 /// k: the same 1/3/8-thread and reuse-on/off byte-identity contract the
-/// core algorithms honor — c4 and triangle additionally exercise the
-/// Simulator&-reset overloads the registry routes them through.
+/// core algorithms honor — c4 and triangle additionally exercise their
+/// detectors' reset-and-run on reused lane simulators.
 TEST(LabRunner, BaselineAlgosByteIdenticalAcrossThreadsAndReuse) {
   const std::vector<std::vector<std::string>> matrices = {
       {"family=planted,ckfree_highgirth", "k=4", "n=20", "trials=10", "seed=44",
