@@ -2,7 +2,7 @@
 /// \brief Micro-benchmark M10 — serving-layer latency SLOs and throughput.
 ///
 /// Gates the PR 10 serving daemon (serve::Server) end to end — parse,
-/// admission, worker batching, verdict cache, reply formatting — at
+/// admission, worker queue, verdict cache, reply formatting — at
 /// n ∈ {10k, 100k} on the cycle family with edge_checker k=5 queries:
 ///
 ///   * miss path ("cold"): every query unique, so each one is a verdict-

@@ -44,6 +44,12 @@ int main(int argc, char** argv) {
   const auto ring = static_cast<unsigned>(args.get_u64("ring", 4));  // deadlocked txns
   const std::uint64_t seed = args.get_u64("seed", 3);
   args.reject_unknown();
+  // The search is for C_{2 ring}, and the paper's tester needs k >= 3.
+  if (ring < 2 || ring > transactions || ring > resources) {
+    std::fprintf(stderr,
+                 "usage: --ring=%u must lie in [2, min(--transactions, --resources)]\n", ring);
+    return 2;
+  }
 
   util::Rng rng(seed);
   graph::GraphBuilder b(transactions + resources);
@@ -60,11 +66,9 @@ int main(int argc, char** argv) {
 
   // Plant a deadlock ring among the first `ring` transactions/resources:
   // T0 -> R0 -> T1 -> R1 -> ... -> T(ring-1) -> R(ring-1) -> T0.
-  if (ring >= 2) {
-    for (unsigned i = 0; i < ring; ++i) {
-      b.add_edge(static_cast<Vertex>(i), static_cast<Vertex>(transactions + i));
-      b.add_edge(static_cast<Vertex>((i + 1) % ring), static_cast<Vertex>(transactions + i));
-    }
+  for (unsigned i = 0; i < ring; ++i) {
+    b.add_edge(static_cast<Vertex>(i), static_cast<Vertex>(transactions + i));
+    b.add_edge(static_cast<Vertex>((i + 1) % ring), static_cast<Vertex>(transactions + i));
   }
   const graph::Graph g = b.build();
   const graph::IdAssignment ids = graph::IdAssignment::identity(g.num_vertices());

@@ -36,7 +36,6 @@ Server::Server(ServerOptions options)
                                     .cache_sessions = true}) {
   DECYCLE_CHECK_MSG(options_.workers > 0, "serve: need at least one worker");
   DECYCLE_CHECK_MSG(options_.queue_capacity > 0, "serve: queue capacity must be positive");
-  DECYCLE_CHECK_MSG(options_.max_batch > 0, "serve: max_batch must be positive");
 }
 
 Server::~Server() { stop(); }
@@ -190,30 +189,15 @@ std::string Server::call(const std::string& payload) {
 
 void Server::worker_loop() {
   for (;;) {
-    std::vector<Op> batch;
+    Op op;
     {
       std::unique_lock lock(queue_mutex_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and drained
-      batch.push_back(std::move(queue_.front()));
+      op = std::move(queue_.front());
       queue_.pop_front();
-      // Opportunistic batching: runs of consecutive queries leave together
-      // and are grouped per (graph hash, epoch, model) onto shared
-      // run_batch calls. Only *consecutive* ops are taken, so per-tenant
-      // FIFO order — the determinism contract's backbone — is preserved.
-      if (batch.front().request.verb == Verb::kQuery) {
-        while (!queue_.empty() && batch.size() < options_.max_batch &&
-               queue_.front().request.verb == Verb::kQuery) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
-      }
     }
-    if (batch.size() == 1 && batch.front().request.verb != Verb::kQuery) {
-      process(std::move(batch.front()));
-    } else {
-      process_query_group(std::move(batch));
-    }
+    process(std::move(op));
   }
 }
 
@@ -228,6 +212,9 @@ void Server::finish(Op& op, std::string reply_body) {
 void Server::process(Op op) {
   try {
     switch (op.request.verb) {
+      case Verb::kQuery:
+        finish(op, handle_query(*op.tenant, op.request));
+        return;
       case Verb::kInsert: {
         std::lock_guard lock(op.tenant->mutex);
         finish(op, handle_insert(*op.tenant, op.request));
@@ -283,112 +270,48 @@ std::string Server::cache_key(const engine::PinnedGraphPtr& pin, std::uint64_t e
   return key;
 }
 
-void Server::process_query_group(std::vector<Op> ops) {
-  // Resolve every op's snapshot first (brief tenant lock each), then group
-  // by (pin, model). Pins are immutable, so the expensive detector runs
-  // below happen with no tenant lock held.
-  struct Resolved {
-    engine::PinnedGraphPtr pin;
-    std::uint64_t epoch = 0;
-    std::string reply;  ///< non-empty once answered (cache hit or error)
-  };
-  std::vector<Resolved> resolved(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    Op& op = ops[i];
-    try {
-      std::lock_guard lock(op.tenant->mutex);
-      resolved[i].pin = op.tenant->session.checkpoint();
-      resolved[i].epoch = resolved[i].pin->epoch.load(std::memory_order_acquire);
-    } catch (const std::exception& e) {
-      resolved[i].reply = format_error(ErrorCode::kInternal, e.what());
-    }
+std::string Server::handle_query(Tenant& tenant, const Request& r) {
+  engine::PinnedGraphPtr pin;
+  std::uint64_t epoch = 0;
+  {
+    std::lock_guard lock(tenant.mutex);
+    pin = tenant.session.checkpoint();
+    epoch = pin->epoch.load(std::memory_order_acquire);
   }
-
-  // Verdict cache probe.
-  std::vector<std::string> keys(ops.size());
-  if (options_.verdict_cache_capacity > 0) {
+  // The pin is immutable, so the detector run below holds no tenant lock.
+  const bool cached = options_.verdict_cache_capacity > 0;
+  std::string key;
+  if (cached) {
+    key = cache_key(pin, epoch, r);
     std::lock_guard lock(cache_mutex_);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (!resolved[i].reply.empty()) continue;
-      keys[i] = cache_key(resolved[i].pin, resolved[i].epoch, ops[i].request);
-      const auto it = verdict_cache_.find(keys[i]);
-      if (it != verdict_cache_.end()) {
-        resolved[i].reply = it->second;
-        ++cache_stats_.hits;
-      } else {
-        ++cache_stats_.misses;
-      }
+    if (const auto it = verdict_cache_.find(key); it != verdict_cache_.end()) {
+      ++cache_stats_.hits;
+      return it->second;
     }
+    ++cache_stats_.misses;
   }
 
-  // Group unanswered queries by (pin, model) in first-seen order and run
-  // each group through one engine batch (one session lease per group).
-  struct Group {
-    engine::PinnedGraphPtr pin;
-    const congest::CommModel* model;
-    std::vector<std::size_t> members;
-  };
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (!resolved[i].reply.empty()) continue;
-    Group* group = nullptr;
-    for (Group& g : groups) {
-      if (g.pin == resolved[i].pin && g.model == ops[i].request.model) {
-        group = &g;
-        break;
-      }
+  core::DetectorOptions detector_options;
+  detector_options.k = r.k;
+  detector_options.epsilon = r.epsilon;
+  detector_options.seed = r.seed;
+  detector_options.repetitions = r.repetitions;
+  std::string reply =
+      "OK query " + format_verdict(engine_.run_one(pin, engine::Query{.detector = r.algo,
+                                                                      .options = detector_options,
+                                                                      .model = r.model,
+                                                                      .weight = 1}));
+  if (cached) {
+    std::lock_guard lock(cache_mutex_);
+    if (verdict_cache_.size() >= options_.verdict_cache_capacity) {
+      // Generational reset: O(1) amortized, no LRU bookkeeping on the
+      // 50k-QPS hit path. A reset only costs re-runs, never wrong answers.
+      verdict_cache_.clear();
+      ++cache_stats_.resets;
     }
-    if (group == nullptr) {
-      groups.push_back({resolved[i].pin, ops[i].request.model, {}});
-      group = &groups.back();
-    }
-    group->members.push_back(i);
+    verdict_cache_.emplace(std::move(key), reply);
   }
-
-  for (Group& group : groups) {
-    std::vector<engine::Query> queries;
-    queries.reserve(group.members.size());
-    for (const std::size_t i : group.members) {
-      const Request& r = ops[i].request;
-      core::DetectorOptions detector_options;
-      detector_options.k = r.k;
-      detector_options.epsilon = r.epsilon;
-      detector_options.seed = r.seed;
-      detector_options.repetitions = r.repetitions;
-      queries.push_back(engine::Query{.detector = r.algo,
-                                      .options = detector_options,
-                                      .model = r.model,
-                                      .weight = 1});
-    }
-    try {
-      const std::vector<core::Verdict> verdicts = engine_.run_batch(group.pin, queries);
-      for (std::size_t j = 0; j < group.members.size(); ++j) {
-        const std::size_t i = group.members[j];
-        resolved[i].reply = "OK query " + format_verdict(verdicts[j]);
-        if (options_.verdict_cache_capacity > 0) {
-          std::lock_guard lock(cache_mutex_);
-          if (verdict_cache_.size() >= options_.verdict_cache_capacity) {
-            // Generational reset: O(1) amortized, no LRU bookkeeping on the
-            // 50k-QPS hit path. A reset only costs re-runs, never wrong
-            // answers.
-            verdict_cache_.clear();
-            ++cache_stats_.resets;
-          }
-          verdict_cache_.emplace(keys[i], resolved[i].reply);
-        }
-      }
-    } catch (const std::exception& e) {
-      for (const std::size_t i : group.members) {
-        if (resolved[i].reply.empty()) {
-          resolved[i].reply = format_error(ErrorCode::kInternal, e.what());
-        }
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    finish(ops[i], std::move(resolved[i].reply));
-  }
+  return reply;
 }
 
 std::string Server::handle_create(const Request& r) {

@@ -9,10 +9,10 @@
 /// (bounded queue + per-tenant in-flight caps; anything over the line gets
 /// an immediate `REJECTED overload` reply — the server never blocks a
 /// client on a full queue and never drops a request silently), and are
-/// served by a fixed worker pool. Workers drain the queue in FIFO order and
-/// opportunistically batch runs of consecutive *query* ops, grouping them
-/// by (graph hash, epoch, model) onto one DetectionEngine::run_batch call —
-/// one session lease amortized across the group, the PR 8 batching core.
+/// served by a fixed worker pool. Workers pop the queue in FIFO order, one
+/// op per pick-up: a query is decided on its own (its verdict depends only
+/// on graph, k, ε and seed), so grouping queries would only queue one
+/// detector run behind another.
 ///
 /// The verdict cache is the serving-layer speedup: a detector run is a pure
 /// function of (graph content hash, epoch, model, algo, resolved options) —
@@ -25,7 +25,7 @@
 /// a tenant driven closed-loop (each client awaits the reply before sending
 /// the next request for that tenant) observes a reply sequence that is a
 /// pure function of its request sequence — independent of worker count,
-/// batching, cache state, and co-tenant traffic — provided no request was
+/// cache state, and co-tenant traffic — provided no request was
 /// shed. tests/serve/determinism_test.cpp pins this at 1 vs 8 workers.
 #pragma once
 
@@ -59,8 +59,6 @@ struct ServerOptions {
   /// fill at most this much of the shared queue before its overflow is shed,
   /// so one tenant's burst cannot starve the rest.
   std::size_t tenant_inflight_cap = 64;
-  /// Upper bound on one worker's opportunistic batch of consecutive queries.
-  std::size_t max_batch = 32;
   std::size_t session_capacity = engine::SessionPool::kDefaultCapacity;
   /// Memoized (graph hash, epoch, model, algo, options) -> reply entries.
   /// 0 disables the verdict cache (every query runs the detector).
@@ -147,13 +145,13 @@ class Server {
 
   void worker_loop();
   void process(Op op);
-  void process_query_group(std::vector<Op> ops);
   void finish(Op& op, std::string reply_body);
 
   [[nodiscard]] std::shared_ptr<Tenant> find_tenant(const std::string& name) const;
   [[nodiscard]] std::string handle_create(const Request& r);
   [[nodiscard]] std::string handle_checkpoint(Tenant& tenant);
   [[nodiscard]] std::string handle_insert(Tenant& tenant, const Request& r);
+  [[nodiscard]] std::string handle_query(Tenant& tenant, const Request& r);
 
   [[nodiscard]] static std::string cache_key(const engine::PinnedGraphPtr& pin,
                                              std::uint64_t epoch, const Request& r);

@@ -6,54 +6,69 @@
 
 namespace decycle::serve {
 
+namespace {
+
+LatencySnapshot snapshot(const util::LatencyHistogram& latency, std::uint64_t shed) {
+  LatencySnapshot out;
+  out.count = latency.count();
+  out.shed = shed;
+  out.p50_ms = latency.quantile(0.50);
+  out.p95_ms = latency.quantile(0.95);
+  out.p99_ms = latency.quantile(0.99);
+  out.mean_ms = latency.mean();
+  out.max_ms = latency.max();
+  return out;
+}
+
+void write_latency(lab::JsonWriter& json, const LatencySnapshot& snap) {
+  json.field("count", snap.count);
+  json.field("shed", snap.shed);
+  json.field("p50_ms", snap.p50_ms);
+  json.field("p95_ms", snap.p95_ms);
+  json.field("p99_ms", snap.p99_ms);
+  json.field("mean_ms", snap.mean_ms);
+  json.field("max_ms", snap.max_ms);
+}
+
+}  // namespace
+
+ServeStats::Window& ServeStats::window_locked(std::string_view tenant) {
+  if (tenant.empty()) return control_;
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end()) it = tenants_.emplace(std::string(tenant), Window{}).first;
+  return it->second;
+}
+
 void ServeStats::record(std::string_view tenant, double latency_ms, std::size_t depth_at_admit) {
   std::lock_guard lock(mutex_);
-  global_.latency.add(latency_ms);
-  global_.online.add(latency_ms);
-  if (!tenant.empty()) {
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) it = tenants_.emplace(std::string(tenant), Window{}).first;
-    it->second.latency.add(latency_ms);
-    it->second.online.add(latency_ms);
-  }
+  window_locked(tenant).latency.add(latency_ms);
   ++queue_.admitted;
   queue_.peak_depth = std::max<std::uint64_t>(queue_.peak_depth, depth_at_admit);
 }
 
 void ServeStats::record_shed(std::string_view tenant, std::size_t depth_at_admit) {
   std::lock_guard lock(mutex_);
-  ++global_.shed;
+  ++window_locked(tenant).shed;
   ++queue_.shed_total;
   queue_.peak_depth = std::max<std::uint64_t>(queue_.peak_depth, depth_at_admit);
-  if (!tenant.empty()) {
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) it = tenants_.emplace(std::string(tenant), Window{}).first;
-    ++it->second.shed;
-  }
 }
 
-LatencySnapshot ServeStats::snapshot_locked(Window& w) {
-  LatencySnapshot out;
-  out.count = w.online.count();
-  out.shed = w.shed;
-  out.p50_ms = w.latency.quantile(0.50);
-  out.p95_ms = w.latency.quantile(0.95);
-  out.p99_ms = w.latency.quantile(0.99);
-  out.mean_ms = w.online.mean();
-  out.max_ms = w.online.count() > 0 ? w.online.max() : 0.0;
-  return out;
+LatencySnapshot ServeStats::global_locked() const {
+  util::LatencyHistogram all = control_.latency;
+  for (const auto& [name, window] : tenants_) all.merge(window.latency);
+  return snapshot(all, queue_.shed_total);
 }
 
 LatencySnapshot ServeStats::global() const {
   std::lock_guard lock(mutex_);
-  return snapshot_locked(global_);
+  return global_locked();
 }
 
 LatencySnapshot ServeStats::tenant(std::string_view name) const {
   std::lock_guard lock(mutex_);
   const auto it = tenants_.find(name);
   if (it == tenants_.end()) return {};
-  return snapshot_locked(it->second);
+  return snapshot(it->second.latency, it->second.shed);
 }
 
 QueueSnapshot ServeStats::queue() const {
@@ -64,44 +79,25 @@ QueueSnapshot ServeStats::queue() const {
 std::string ServeStats::jsonl(std::string_view extra) const {
   std::lock_guard lock(mutex_);
   std::string out;
-  const auto emit = [](std::string_view scope, std::string_view name, Window& w) {
+  for (const auto& [name, window] : tenants_) {
     lab::JsonWriter json;
     json.begin_object();
-    json.field("record", scope);
-    if (!name.empty()) json.field("tenant", name);
-    const LatencySnapshot snap = snapshot_locked(w);
-    json.field("count", snap.count);
-    json.field("shed", snap.shed);
-    json.field("p50_ms", snap.p50_ms);
-    json.field("p95_ms", snap.p95_ms);
-    json.field("p99_ms", snap.p99_ms);
-    json.field("mean_ms", snap.mean_ms);
-    json.field("max_ms", snap.max_ms);
-    json.end_object();
-    return std::move(json).str();
-  };
-  for (auto& [name, window] : tenants_) {
-    out += emit("tenant", name, window);
-    out.push_back('\n');
-  }
-  {
-    lab::JsonWriter json;
-    json.begin_object();
-    json.field("record", "global");
-    const LatencySnapshot snap = snapshot_locked(global_);
-    json.field("count", snap.count);
-    json.field("shed", snap.shed);
-    json.field("p50_ms", snap.p50_ms);
-    json.field("p95_ms", snap.p95_ms);
-    json.field("p99_ms", snap.p99_ms);
-    json.field("mean_ms", snap.mean_ms);
-    json.field("max_ms", snap.max_ms);
-    json.field("queue_peak_depth", queue_.peak_depth);
-    json.field("admitted", queue_.admitted);
-    json.field("shed_total", queue_.shed_total);
+    json.field("record", "tenant");
+    json.field("tenant", name);
+    write_latency(json, snapshot(window.latency, window.shed));
     json.end_object();
     out += std::move(json).str();
+    out.push_back('\n');
   }
+  lab::JsonWriter json;
+  json.begin_object();
+  json.field("record", "global");
+  write_latency(json, global_locked());
+  json.field("queue_peak_depth", queue_.peak_depth);
+  json.field("admitted", queue_.admitted);
+  json.field("shed_total", queue_.shed_total);
+  json.end_object();
+  out += std::move(json).str();
   if (!extra.empty()) {
     // Splice caller fields into the global record: "…}" + ",extra}".
     out.pop_back();

@@ -1,20 +1,20 @@
 /// \file stats.hpp
 /// \brief Latency-SLO accounting for the serving daemon.
 ///
-/// Every admitted request is timed submit-to-reply and recorded twice: into
-/// its tenant's window and into the global one, both util::Percentiles (for
-/// p50/p95/p99 order statistics) plus util::OnlineStats (mean/max and a
-/// numerically stable variance for dashboards). Queue depth is sampled at
-/// admission; sheds are counted per tenant and globally. The JSONL dump —
+/// Every admitted request is timed submit-to-reply and recorded into one
+/// window: its tenant's, or the control window for requests that name no
+/// tenant. A window is a util::LatencyHistogram (fixed ~8 KiB, exact
+/// count/mean/max, quantiles within 1/32) plus a shed counter, so memory
+/// grows with the number of tenants, never with the number of requests. The
+/// global record merges every window at read time. Queue depth is sampled
+/// at admission; sheds are counted per tenant and globally. The JSONL dump —
 /// one record per tenant in lexicographic order, then one global record —
 /// is what `stats` requests return and what the daemon writes at shutdown,
 /// so an SLO regression is a diffable artifact, not a vibe.
 ///
-/// Thread safety: one mutex per ServeStats. Recording is a few dozen
-/// nanoseconds of vector push + Welford update under the lock; at the m10
-/// gate's 50k queries/sec that is well under 1% of a core. Percentile
-/// *reads* sort lazily under the same lock, which is fine for the
-/// stats-on-demand cadence these windows serve.
+/// Thread safety: one mutex per ServeStats. Recording is one bucket
+/// increment under it; a read walks each window's buckets once, with no
+/// sort.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,8 @@ struct QueueSnapshot {
 
 class ServeStats {
  public:
-  /// Records one served request: \p tenant (empty = a control verb, global
-  /// window only), latency in milliseconds, and the queue depth seen at
+  /// Records one served request: \p tenant (empty = a control verb, the
+  /// control window), latency in milliseconds, and the queue depth seen at
   /// admission.
   void record(std::string_view tenant, double latency_ms, std::size_t depth_at_admit);
 
@@ -65,16 +65,16 @@ class ServeStats {
 
  private:
   struct Window {
-    util::Percentiles latency;
-    util::OnlineStats online;
+    util::LatencyHistogram latency;
     std::uint64_t shed = 0;
   };
 
-  static LatencySnapshot snapshot_locked(Window& w);
+  Window& window_locked(std::string_view tenant);
+  [[nodiscard]] LatencySnapshot global_locked() const;
 
   mutable std::mutex mutex_;
-  mutable Window global_;
-  mutable std::map<std::string, Window, std::less<>> tenants_;
+  Window control_;  ///< requests that name no tenant (control verbs)
+  std::map<std::string, Window, std::less<>> tenants_;
   QueueSnapshot queue_;
 };
 

@@ -14,10 +14,13 @@ Args::Args(int argc, const char* const* argv) {
                       "arguments must look like --key=value, got: " + std::string(arg));
     const std::string_view body = arg.substr(2);
     const std::size_t eq = body.find('=');
-    const auto [it, inserted] =
-        eq == std::string_view::npos
-            ? values_.emplace(std::string(body), "1")
-            : values_.emplace(std::string(body.substr(0, eq)), std::string(body.substr(eq + 1)));
+    std::string key(body.substr(0, eq));
+    std::string value = eq != std::string_view::npos ? std::string(body.substr(eq + 1)) : "1";
+    if (eq == std::string_view::npos && i + 1 < argc &&
+        std::string_view(argv[i + 1]).substr(0, 2) != "--") {
+      value = argv[++i];
+    }
+    const auto [it, inserted] = values_.emplace(std::move(key), std::move(value));
     // A silently dropped repeat would run a different workload than the
     // command line reads (e.g. --k=4 --k=5 keeping only k=4).
     DECYCLE_CHECK_MSG(inserted, "duplicate argument --" + it->first +

@@ -19,7 +19,8 @@ namespace decycle::util {
 
 class Args {
  public:
-  /// Parses argv. Accepts "--key=value" and "--flag" (value "1").
+  /// Parses argv. Accepts "--key=value", "--key value" (when the next token
+  /// does not start with "--") and "--flag" (value "1").
   /// Throws CheckError on malformed arguments.
   Args(int argc, const char* const* argv);
 

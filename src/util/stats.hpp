@@ -2,16 +2,16 @@
 /// \brief Streaming statistics used by the experiment harness.
 ///
 /// OnlineStats implements Welford's numerically stable running mean/variance.
-/// Percentiles keeps raw samples and answers order statistics; suitable for
-/// the sample counts the experiments produce (<= a few million). Wilson score
+/// LatencyHistogram answers order statistics over any number of latency
+/// samples in fixed memory (the serving daemon's windows). Wilson score
 /// intervals back the acceptance-probability tables (T1/T2) so the benches can
 /// assert "detection >= 2/3" with an explicit confidence bound rather than a
 /// point estimate.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace decycle::util {
 
@@ -39,31 +39,44 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Order statistics over retained samples.
-class Percentiles {
+/// Fixed-memory latency histogram, HdrHistogram-style: log buckets over
+/// nanoseconds with 16 sub-buckets per power of two (976 buckets, ~8 KiB),
+/// so a quantile lands within 1/32 of the exact one however many samples
+/// were added. Count, mean, min and max are exact; the lowest and highest
+/// ranks answer min and max, every other rank its bucket's midpoint clamped
+/// to [min, max].
+class LatencyHistogram {
  public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
+  /// Records one latency in milliseconds; negative or NaN counts as 0.
+  void add(double ms) noexcept;
 
-  /// Returns the q-quantile (q in [0,1]) by linear interpolation.
-  /// Sorts lazily; calling add() afterwards is allowed and re-sorts.
-  /// Empty windows answer 0.0 (a serving dashboard's "no traffic yet" row
-  /// must render, not NaN); a non-finite q throws CheckError.
-  [[nodiscard]] double quantile(double q);
-  [[nodiscard]] double median() { return quantile(0.5); }
+  /// Folds \p other in: quantiles after merge equal those of one histogram
+  /// that saw both sample streams.
+  void merge(const LatencyHistogram& other) noexcept;
 
-  /// Appends \p other's samples (per-tenant windows folding into a global
-  /// one). Merging an empty window is a no-op; merging into an empty window
-  /// copies. Quantiles after merge equal quantiles over the union.
-  void merge(const Percentiles& other);
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] double mean() const noexcept;
+  [[nodiscard]] double max() const noexcept { return max_; }
+
+  /// The q-quantile (q clamped to [0,1]) in milliseconds, interpolated
+  /// linearly between neighbouring ranks. An empty histogram answers 0.0 (a
+  /// serving dashboard's "no traffic yet" row must render, not NaN); a
+  /// non-finite q throws CheckError.
+  [[nodiscard]] double quantile(double q) const;
+  [[nodiscard]] double median() const { return quantile(0.5); }
+
+  static constexpr unsigned kSubBits = 4;
+  static constexpr std::size_t kBuckets = (64 - kSubBits + 1) << kSubBits;
 
  private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
+  /// The value (ms) of the sample at 0-based \p rank.
+  [[nodiscard]] double at_rank(std::uint64_t rank) const noexcept;
+
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Binomial proportion confidence interval.

@@ -86,13 +86,17 @@ TEST(EdgeChecker, SingleCycleNoFarnessNeeded) {
                graph::has_cycle_through_edge(g, 7, g.edge(0).first, g.edge(0).second));
 }
 
+// gtest names each case by dumping the param's bytes, so the struct must
+// have no padding: padding bytes are unspecified and would make the test
+// names change from build to build. Hence a 64-bit flag, not a bool.
 struct ExactnessCase {
   unsigned k;
   graph::Vertex n;
   std::size_t m;
   std::uint64_t seed;
-  bool shuffled_ids;
+  std::uint64_t shuffled_ids;
 };
+static_assert(std::has_unique_object_representations_v<ExactnessCase>);
 
 class EdgeCheckerExactness : public ::testing::TestWithParam<ExactnessCase> {};
 

@@ -89,17 +89,6 @@ TEST(ServeDeterminism, VerdictCacheIsInvisible) {
   expect_reports_equal(run_with(spec, cached), run_with(spec, uncached));
 }
 
-TEST(ServeDeterminism, BatchBoundIsInvisible) {
-  const LoadgenSpec spec = test_spec();
-  ServerOptions unbatched;
-  unbatched.workers = 4;
-  unbatched.max_batch = 1;
-  ServerOptions batched;
-  batched.workers = 4;
-  batched.max_batch = 32;
-  expect_reports_equal(run_with(spec, unbatched), run_with(spec, batched));
-}
-
 TEST(ServeDeterminism, SeedChangesTheWorkload) {
   LoadgenSpec spec = test_spec();
   ServerOptions options;

@@ -150,6 +150,43 @@ TEST(ServeServer, StatsReplyCarriesTenantAndGlobalRecords) {
   server.stop();
 }
 
+/// A number field of the first \p record ("tenant" or "global") line.
+double stats_field(const std::string& stats, const std::string& record, const std::string& key) {
+  const std::size_t line = stats.find("\"record\":\"" + record + "\"");
+  EXPECT_NE(line, std::string::npos) << stats;
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = stats.find(needle, line);
+  EXPECT_NE(at, std::string::npos) << key << " in " << stats;
+  return std::stod(stats.substr(at + needle.size()));
+}
+
+TEST(ServeServer, StatsLatencyFieldsCountEveryRequestInOrder) {
+  Server server(small_options());
+  server.start();
+  ASSERT_TRUE(is_ok(server.call("create tenant=a n=16 family=cycle k=5 seed=1")));
+  constexpr int kQueries = 12;
+  for (int seed = 1; seed <= kQueries; ++seed) {
+    ASSERT_TRUE(is_ok(server.call("query tenant=a algo=tester k=5 seed=" + std::to_string(seed))));
+  }
+  ASSERT_TRUE(is_ok(server.call("checkpoint tenant=a")));
+  const std::string stats = server.call("stats");
+  ASSERT_TRUE(is_ok(stats)) << stats;
+  for (const std::string record : {"tenant", "global"}) {
+    EXPECT_EQ(stats_field(stats, record, "count"), kQueries + 1) << record;
+    const double p50 = stats_field(stats, record, "p50_ms");
+    const double p95 = stats_field(stats, record, "p95_ms");
+    const double p99 = stats_field(stats, record, "p99_ms");
+    const double max = stats_field(stats, record, "max_ms");
+    const double mean = stats_field(stats, record, "mean_ms");
+    EXPECT_GT(p50, 0.0) << record;
+    EXPECT_LE(p50, p95) << record;
+    EXPECT_LE(p95, p99) << record;
+    EXPECT_LE(p99, max) << record;
+    EXPECT_LE(mean, max) << record;
+  }
+  server.stop();
+}
+
 TEST(ServeServer, ShutdownDrainsAndRefusesNewWork) {
   Server server(small_options());
   server.start();

@@ -52,6 +52,15 @@ TEST(Args, RejectsMalformedArgument) {
   EXPECT_THROW(make_args({"n=5"}), CheckError);
 }
 
+TEST(Args, SpaceSeparatedValueWhenNextTokenIsNotAKey) {
+  const Args args = make_args({"--socket", "/tmp/x.sock", "--verbose", "--delta", "-3", "--n=4"});
+  EXPECT_EQ(args.get_string("socket", ""), "/tmp/x.sock");
+  EXPECT_TRUE(args.get_bool("verbose", false));
+  EXPECT_EQ(args.get_i64("delta", 0), -3);
+  EXPECT_EQ(args.get_u64("n", 0), 4u);
+  EXPECT_THROW(make_args({"--n=4", "n=5"}), CheckError);
+}
+
 TEST(Args, RejectsBadNumbers) {
   const Args args = make_args({"--n=abc", "--e=1.5x"});
   EXPECT_THROW((void)args.get_u64("n", 0), CheckError);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace decycle::util {
 namespace {
@@ -92,31 +94,43 @@ TEST(OnlineStats, MergeSingleSamples) {
   EXPECT_EQ(a.max(), 5.0);
 }
 
+// The Percentiles suite pins the quantile contract (exact extremes, linear
+// interpolation between ranks, empty → 0, clamped q, non-finite q throws,
+// merge == union) on the histogram that holds it.
+
+/// A bucket midpoint lies within 1/32 of any value in its bucket.
+constexpr double kRelTol = 1.0 / 32;
+
 TEST(Percentiles, MedianAndExtremes) {
-  Percentiles p;
+  LatencyHistogram p;
   for (const double x : {5.0, 1.0, 3.0, 2.0, 4.0}) p.add(x);
   EXPECT_DOUBLE_EQ(p.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
+  EXPECT_NEAR(p.median(), 3.0, 3.0 * kRelTol);
   EXPECT_DOUBLE_EQ(p.quantile(1.0), 5.0);
+  EXPECT_EQ(p.count(), 5u);
+  EXPECT_DOUBLE_EQ(p.mean(), 3.0);
+  EXPECT_DOUBLE_EQ(p.max(), 5.0);
 }
 
 TEST(Percentiles, Interpolates) {
-  Percentiles p;
+  LatencyHistogram p;
   p.add(0.0);
   p.add(10.0);
   EXPECT_DOUBLE_EQ(p.quantile(0.25), 2.5);
 }
 
 TEST(Percentiles, EmptyReturnsZeroForEveryQuantile) {
-  Percentiles p;
+  const LatencyHistogram p;
   EXPECT_EQ(p.count(), 0u);
   EXPECT_DOUBLE_EQ(p.quantile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(p.median(), 0.0);
   EXPECT_DOUBLE_EQ(p.quantile(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(p.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(p.max(), 0.0);
 }
 
 TEST(Percentiles, SingleSampleIsEveryQuantile) {
-  Percentiles p;
+  LatencyHistogram p;
   p.add(42.0);
   EXPECT_DOUBLE_EQ(p.quantile(0.0), 42.0);
   EXPECT_DOUBLE_EQ(p.quantile(0.37), 42.0);
@@ -125,7 +139,7 @@ TEST(Percentiles, SingleSampleIsEveryQuantile) {
 }
 
 TEST(Percentiles, OutOfRangeQuantilesClamp) {
-  Percentiles p;
+  LatencyHistogram p;
   p.add(1.0);
   p.add(2.0);
   EXPECT_DOUBLE_EQ(p.quantile(-0.5), 1.0);
@@ -133,12 +147,48 @@ TEST(Percentiles, OutOfRangeQuantilesClamp) {
 }
 
 TEST(Percentiles, AddAfterQueryResorts) {
-  Percentiles p;
+  LatencyHistogram p;
   p.add(1.0);
   p.add(3.0);
   EXPECT_DOUBLE_EQ(p.median(), 2.0);
   p.add(100.0);
-  EXPECT_DOUBLE_EQ(p.median(), 3.0);
+  EXPECT_NEAR(p.median(), 3.0, 3.0 * kRelTol);
+}
+
+TEST(LatencyHistogram, QuantilesTrackExactOnesOfASeededSample) {
+  // Log-uniform latencies from 1 µs to 10 s, then 10k samples' exact
+  // linear-interpolated quantiles versus the histogram's.
+  Rng rng(2026);
+  LatencyHistogram h;
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    const double ms = std::pow(10.0, -3.0 + 7.0 * rng.next_double());
+    samples.push_back(ms);
+    h.add(ms);
+  }
+  std::sort(samples.begin(), samples.end());
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    const double exact = samples[lo] * (1.0 - frac) + samples[hi] * frac;
+    // 1e-3 covers truncation to whole nanoseconds at the 1 µs end.
+    EXPECT_NEAR(h.quantile(q), exact, exact * (kRelTol + 1e-3)) << "q=" << q;
+  }
+  EXPECT_EQ(h.count(), samples.size());
+  EXPECT_DOUBLE_EQ(h.max(), samples.back());
+}
+
+TEST(LatencyHistogram, MemoryIsFixedAndExtremeValuesStayInRange) {
+  static_assert(sizeof(LatencyHistogram) < 8 * 1024 + 64);
+  LatencyHistogram h;
+  h.add(-1.0);
+  h.add(std::numeric_limits<double>::quiet_NaN());
+  h.add(1e300);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1e300);
 }
 
 TEST(Wilson, CenteredForBalancedData) {
@@ -199,26 +249,26 @@ TEST(BinomialCoefficient, KnownValues) {
 }
 
 TEST(Percentiles, MergeEmptyWindowsStaysEmpty) {
-  Percentiles a;
-  Percentiles b;
+  LatencyHistogram a;
+  LatencyHistogram b;
   a.merge(b);
   EXPECT_EQ(a.count(), 0u);
   EXPECT_DOUBLE_EQ(a.median(), 0.0);
 }
 
 TEST(Percentiles, MergeEmptyIntoPopulatedIsNoop) {
-  Percentiles a;
+  LatencyHistogram a;
   a.add(1.0);
   a.add(3.0);
-  const Percentiles empty;
+  const LatencyHistogram empty;
   a.merge(empty);
   EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.median(), 2.0);
 }
 
 TEST(Percentiles, MergeIntoEmptyCopiesSamples) {
-  Percentiles a;
-  Percentiles b;
+  LatencyHistogram a;
+  LatencyHistogram b;
   b.add(5.0);
   a.merge(b);
   EXPECT_EQ(a.count(), 1u);
@@ -226,9 +276,9 @@ TEST(Percentiles, MergeIntoEmptyCopiesSamples) {
 }
 
 TEST(Percentiles, MergeEqualsConcatenation) {
-  Percentiles merged;
-  Percentiles other;
-  Percentiles all;
+  LatencyHistogram merged;
+  LatencyHistogram other;
+  LatencyHistogram all;
   const std::vector<double> left = {9.0, 1.0, 4.0};
   const std::vector<double> right = {2.0, 8.0, 3.0, 7.0};
   for (const double x : left) {
@@ -239,9 +289,7 @@ TEST(Percentiles, MergeEqualsConcatenation) {
     other.add(x);
     all.add(x);
   }
-  // Query before merging: merge must reset the lazy sort, not append into
-  // a vector believed sorted.
-  EXPECT_DOUBLE_EQ(merged.median(), 4.0);
+  EXPECT_NEAR(merged.median(), 4.0, 4.0 * kRelTol);
   merged.merge(other);
   EXPECT_EQ(merged.count(), all.count());
   for (const double q : {0.0, 0.25, 0.5, 0.75, 0.95, 1.0}) {
@@ -250,9 +298,9 @@ TEST(Percentiles, MergeEqualsConcatenation) {
 }
 
 TEST(Percentiles, MergeSingleSampleWindows) {
-  Percentiles a;
+  LatencyHistogram a;
   a.add(2.0);
-  Percentiles b;
+  LatencyHistogram b;
   b.add(1.0);
   a.merge(b);
   EXPECT_EQ(a.count(), 2u);
@@ -261,7 +309,7 @@ TEST(Percentiles, MergeSingleSampleWindows) {
 }
 
 TEST(Percentiles, NonFiniteQuantileThrows) {
-  Percentiles p;
+  LatencyHistogram p;
   p.add(1.0);
   EXPECT_THROW((void)p.quantile(std::numeric_limits<double>::quiet_NaN()), CheckError);
   EXPECT_THROW((void)p.quantile(std::numeric_limits<double>::infinity()), CheckError);

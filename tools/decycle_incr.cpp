@@ -48,20 +48,6 @@ namespace {
 
 /// util::Args insists on --key=value; this CLI also accepts the
 /// conventional "--key value" spelling, like decycle_soak.
-std::vector<std::string> normalize_args(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--", 0) == 0 && arg.find('=') == std::string::npos && i + 1 < argc &&
-        std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      arg += "=";
-      arg += argv[++i];
-    }
-    out.push_back(std::move(arg));
-  }
-  return out;
-}
-
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::istringstream in(csv);
@@ -178,10 +164,7 @@ int replay_differential(const decycle::incremental::InsertStream& stream,
 int main(int argc, char** argv) {
   using namespace decycle;
   try {
-    const std::vector<std::string> normalized = normalize_args(argc, argv);
-    std::vector<const char*> argv2 = {argc > 0 ? argv[0] : "decycle_incr"};
-    for (const std::string& a : normalized) argv2.push_back(a.c_str());
-    const util::Args args(static_cast<int>(argv2.size()), argv2.data());
+    const util::Args args(argc, argv);
 
     if (args.get_bool("gen", false)) {
       return generate(args);

@@ -2,12 +2,17 @@
 /// \brief The multi-tenant detection daemon over an AF_UNIX socket.
 ///
 /// Serves the serve::Server request grammar (protocol.hpp) on a local
-/// stream socket with length-prefixed frames. Each accepted connection gets
-/// a reader thread feeding a FrameReader; complete payloads go through
-/// Server::submit, and replies are framed back on the same socket (a
-/// per-connection write mutex serializes concurrent worker replies). A
-/// garbled frame gets one final ERROR bad_frame reply and the connection is
-/// closed — the length-prefix desync is unrecoverable by design.
+/// stream socket with length-prefixed frames. One poll loop on the main
+/// thread owns the listener and every connection: a readable connection gets
+/// one recv into its FrameReader, and every complete payload goes through
+/// Server::submit. Replies are framed back on the same socket without ever
+/// blocking: what the socket does not take at once waits in a per-connection
+/// queue that the poll loop flushes, and a client is not read from while
+/// its queue is non-empty. A recv error drops the connection; EOF stops
+/// reading it, and it is dropped once its replies are out. A garbled frame
+/// gets one final ERROR bad_frame reply and the connection is closed — the
+/// length-prefix desync is unrecoverable by design. The daemon runs
+/// workers + 1 threads whatever the number of clients.
 ///
 ///   decycle_serve --socket=/tmp/decycle.sock --workers=8
 ///   echo -n '5 stats' | nc -U /tmp/decycle.sock   # (nc appends the \n)
@@ -17,7 +22,6 @@
 ///   --workers=N       server worker threads (default 4)
 ///   --queue-capacity=N   admission queue bound (default 1024)
 ///   --tenant-cap=N    per-tenant in-flight cap (default 64)
-///   --max-batch=N     per-worker query batch bound (default 32)
 ///   --cache=N         verdict-cache capacity, 0 disables (default 65536)
 ///   --stats-out=FILE  write the JSONL stats dump here at shutdown
 ///   --enable-stall    accept the test-only stall verb (never in production)
@@ -25,6 +29,7 @@
 /// Shutdown: a `shutdown` request (or SIGINT/SIGTERM) drains admitted work,
 /// dumps stats JSONL (to --stats-out and stderr), and exits 0.
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -32,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <poll.h>
@@ -51,68 +55,107 @@ std::atomic<bool> g_signal_stop{false};
 
 void on_signal(int) { g_signal_stop.store(true, std::memory_order_release); }
 
-std::vector<std::string> normalize_args(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--", 0) == 0 && arg.find('=') == std::string::npos && i + 1 < argc &&
-        std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      arg += "=";
-      arg += argv[++i];
-    }
-    out.push_back(std::move(arg));
-  }
-  return out;
-}
+/// Queued reply bytes beyond which a client counts as not reading its
+/// replies and is cut off.
+constexpr std::size_t kMaxPendingBytes = std::size_t{16} << 20;
 
-/// One connection: owns the fd and the write-side mutex that serializes
-/// replies coming back from arbitrary worker threads.
-struct Connection {
-  explicit Connection(int descriptor) : fd(descriptor) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
+/// One connection. Replies come from the poll thread (inline verbs) and
+/// from worker threads, and none of them may block on a client that does
+/// not read: send_frame writes what the socket takes at once and queues the
+/// rest, which the poll loop flushes once the socket turns writable.
+class Connection {
+ public:
+  explicit Connection(int fd) : fd_(fd) {}
+  ~Connection() { ::close(fd_); }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
   void send_frame(const std::string& payload) {
-    const std::string frame = decycle::serve::encode_frame(payload);
-    std::lock_guard lock(write_mutex);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return;  // peer went away; replies to the void are fine
-      sent += static_cast<std::size_t>(n);
+    std::lock_guard lock(mutex_);
+    if (pending_.size() > kMaxPendingBytes) {
+      cut_off_locked();
+      return;
+    }
+    pending_ += decycle::serve::encode_frame(payload);
+    flush_locked();
+  }
+
+  /// Sends what the socket takes now; true while reply bytes stay queued.
+  bool flush() {
+    std::lock_guard lock(mutex_);
+    flush_locked();
+    return !pending_.empty();
+  }
+
+ private:
+  void flush_locked() {
+    while (!pending_.empty()) {
+      const ssize_t n =
+          ::send(fd_, pending_.data(), pending_.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        pending_.erase(0, static_cast<std::size_t>(n));
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      cut_off_locked();  // the peer went away; replies to the void are fine
+      return;
     }
   }
 
-  int fd;
-  std::mutex write_mutex;
+  void cut_off_locked() {
+    pending_.clear();
+    ::shutdown(fd_, SHUT_RDWR);
+  }
+
+  int fd_;
+  std::mutex mutex_;
+  std::string pending_;
 };
 
-void serve_connection(decycle::serve::Server& server, std::shared_ptr<Connection> conn) {
+struct Client {
+  std::shared_ptr<Connection> conn;
   decycle::serve::FrameReader reader;
+  bool reading = true;  ///< false after EOF: kept only until its replies are out
+};
+
+/// One recv on a readable client; submits every complete frame. False when
+/// the client is done: a recv error or a garbled frame. EOF stops reading.
+bool serve_readable(decycle::serve::Server& server, Client& client) {
   char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n <= 0) return;  // EOF or error: client is gone
-    reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-    for (;;) {
-      std::string payload;
-      const auto status = reader.next(payload);
-      if (status == decycle::serve::FrameReader::Status::kNeedMore) break;
-      if (status == decycle::serve::FrameReader::Status::kError) {
-        conn->send_frame(decycle::serve::format_error(decycle::serve::ErrorCode::kBadFrame,
-                                                      reader.error()));
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;
-      }
-      // Replies may arrive from worker threads after this loop moved on;
-      // the shared_ptr keeps the connection alive until the last lands.
-      server.submit(std::move(payload),
-                    [conn](std::string reply) { conn->send_frame(reply); });
-    }
+  const ssize_t n = ::recv(client.conn->fd(), buf, sizeof(buf), 0);
+  if (n < 0) return false;
+  if (n == 0) {
+    client.reading = false;
+    return true;
   }
+  client.reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+  for (;;) {
+    std::string payload;
+    const auto status = client.reader.next(payload);
+    if (status == decycle::serve::FrameReader::Status::kNeedMore) return true;
+    if (status == decycle::serve::FrameReader::Status::kError) {
+      client.conn->send_frame(decycle::serve::format_error(decycle::serve::ErrorCode::kBadFrame,
+                                                           client.reader.error()));
+      ::shutdown(client.conn->fd(), SHUT_RDWR);
+      return false;
+    }
+    // Replies may arrive from worker threads after the client was dropped;
+    // the shared_ptr keeps the connection alive until the last lands.
+    server.submit(std::move(payload),
+                  [conn = client.conn](std::string reply) { conn->send_frame(reply); });
+  }
+}
+
+/// One poll round of a client; false once it can be dropped.
+bool serve_client(decycle::serve::Server& server, Client& client, short revents) {
+  if (client.reading) {
+    return (revents & (POLLIN | POLLHUP | POLLERR)) == 0 || serve_readable(server, client);
+  }
+  return (revents & (POLLHUP | POLLERR)) == 0 &&
+         (client.conn.use_count() > 1 || client.conn->flush());
 }
 
 int run(const decycle::util::Args& args) {
@@ -124,7 +167,6 @@ int run(const decycle::util::Args& args) {
   options.workers = args.get_u64("workers", options.workers);
   options.queue_capacity = args.get_u64("queue-capacity", options.queue_capacity);
   options.tenant_inflight_cap = args.get_u64("tenant-cap", options.tenant_inflight_cap);
-  options.max_batch = args.get_u64("max-batch", options.max_batch);
   options.verdict_cache_capacity = args.get_u64("cache", options.verdict_cache_capacity);
   options.enable_stall = args.get_bool("enable-stall", false);
   const std::string stats_out = args.get_string("stats-out", "");
@@ -153,37 +195,37 @@ int run(const decycle::util::Args& args) {
   std::cerr << "decycle_serve: listening on " << socket_path << " workers=" << options.workers
             << " queue=" << options.queue_capacity << "\n";
 
-  std::vector<std::thread> connection_threads;
-  std::vector<std::weak_ptr<Connection>> connections;
-  std::mutex connections_mutex;
-
+  std::vector<Client> clients;
+  std::vector<pollfd> fds;
   while (!g_signal_stop.load(std::memory_order_acquire) && !server.shutdown_requested()) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) continue;
-    auto conn = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard lock(connections_mutex);
-      connections.push_back(conn);
+    fds.assign(1, pollfd{listen_fd, POLLIN, 0});
+    for (const Client& c : clients) {
+      // A client is not read from while replies to it are queued, so one
+      // that does not read cannot grow the queue without bound.
+      const bool backlog = c.conn->flush();
+      const short events = backlog ? POLLOUT : c.reading ? POLLIN : 0;
+      fds.push_back(pollfd{c.conn->fd(), events, 0});
     }
-    connection_threads.emplace_back(
-        [&server, conn = std::move(conn)]() mutable { serve_connection(server, std::move(conn)); });
-  }
-
-  ::close(listen_fd);
-  {
-    // Nudge readers off recv() so their threads can join.
-    std::lock_guard lock(connections_mutex);
-    for (const std::weak_ptr<Connection>& weak : connections) {
-      if (const std::shared_ptr<Connection> conn = weak.lock()) {
-        ::shutdown(conn->fd, SHUT_RDWR);
+    if (::poll(fds.data(), fds.size(), 200) < 0) continue;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      if (!serve_client(server, clients[i], fds[i + 1].revents)) continue;
+      if (kept != i) clients[kept] = std::move(clients[i]);
+      ++kept;
+    }
+    clients.erase(clients.begin() + static_cast<std::ptrdiff_t>(kept), clients.end());
+    if ((fds[0].revents & POLLIN) != 0) {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd >= 0) {
+        clients.push_back(Client{std::make_shared<Connection>(fd), decycle::serve::FrameReader()});
       }
     }
   }
-  for (std::thread& t : connection_threads) t.join();
+
+  // Admitted work drains before the connections close, so its replies land.
+  ::close(listen_fd);
   server.stop();
+  clients.clear();
 
   const std::string stats = server.stats_jsonl();
   if (!stats_out.empty()) {
@@ -201,11 +243,7 @@ int run(const decycle::util::Args& args) {
 int main(int argc, char** argv) {
   using namespace decycle;
   try {
-    const std::vector<std::string> normalized = normalize_args(argc, argv);
-    std::vector<const char*> argv2 = {argc > 0 ? argv[0] : "decycle_serve"};
-    for (const std::string& a : normalized) argv2.push_back(a.c_str());
-    const util::Args args(static_cast<int>(argv2.size()), argv2.data());
-    return run(args);
+    return run(util::Args(argc, argv));
   } catch (const util::CheckError& e) {
     std::cerr << "decycle_serve: " << e.what() << "\n";
     return 2;

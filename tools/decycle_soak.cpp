@@ -55,20 +55,6 @@ namespace {
 /// util::Args insists on --key=value; the soak CLI also accepts the
 /// conventional "--key value" spelling (the ISSUE and CI scripts use both).
 /// A bare --flag followed by a token that is not itself a flag is joined.
-std::vector<std::string> normalize_args(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--", 0) == 0 && arg.find('=') == std::string::npos && i + 1 < argc &&
-        std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      arg += "=";
-      arg += argv[++i];
-    }
-    out.push_back(std::move(arg));
-  }
-  return out;
-}
-
 int replay(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   DECYCLE_CHECK_MSG(in.good(), "cannot open --repro file: " + path);
@@ -148,10 +134,7 @@ int run_serve(const decycle::util::Args& args) {
 int main(int argc, char** argv) {
   using namespace decycle;
   try {
-    const std::vector<std::string> normalized = normalize_args(argc, argv);
-    std::vector<const char*> argv2 = {argc > 0 ? argv[0] : "decycle_soak"};
-    for (const std::string& a : normalized) argv2.push_back(a.c_str());
-    const util::Args args(static_cast<int>(argv2.size()), argv2.data());
+    const util::Args args(argc, argv);
 
     const std::string repro_path = args.get_string("repro", "");
     if (!repro_path.empty()) {
